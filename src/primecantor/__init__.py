@@ -9,7 +9,6 @@ from .chains import (
     PrimeChain,
     TreeNode,
     admissible_interval,
-    branching_lower_bound,
     counting_subinterval,
     enumerate_tree,
     extend_greedy,
@@ -26,7 +25,6 @@ from .dimension import (
     paper_levels_general,
     paper_levels_simple,
     proposition_bound,
-    theorem_bound,
 )
 from .primality import (
     count_primes_in_range,
@@ -45,7 +43,6 @@ __all__ = [
     "TreeNode",
     "admissible_interval",
     "bracket_for_chain",
-    "branching_lower_bound",
     "count_primes_in_range",
     "counting_subinterval",
     "digits",
@@ -66,6 +63,5 @@ __all__ = [
     "proposition_bound",
     "root_enclosure",
     "successors",
-    "theorem_bound",
     "verify_representation",
 ]

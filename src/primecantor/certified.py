@@ -2,9 +2,11 @@
 
 Exponents are exact ``fractions.Fraction`` values, which makes floors and
 ceilings of a**c decidable: a**(n/d) is compared against integers by
-clearing the denominator, entirely in integer arithmetic.  Enclosure
-endpoints are dyadic rationals (integer mantissa over a power of two), so
-comparisons and midpoints never accumulate rounding error.
+clearing the denominator, entirely in integer arithmetic.  ``introot`` is
+the one root primitive: every floor or ceiling of a rational power in the
+package is a single call to it.  Enclosure endpoints are dyadic rationals
+(integer mantissa over a power of two), so comparisons and midpoints never
+accumulate rounding error.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 Rational = Fraction
 
@@ -42,10 +43,6 @@ def dyadic(mantissa: int, scale: int) -> Fraction:
     if scale >= 0:
         return Fraction(mantissa, 1 << scale)
     return Fraction(mantissa << -scale)
-
-
-def is_dyadic(q: Fraction) -> bool:
-    return q.denominator & (q.denominator - 1) == 0
 
 
 @dataclass(frozen=True)
@@ -103,9 +100,8 @@ def pow_ceil(a: int, c: Rational) -> int:
     if c < 1:
         raise ValueError("pow_ceil requires c >= 1")
     n, d = c.numerator, c.denominator
-    t = a ** n
-    r = introot(t, d)
-    return r if r ** d == t else r + 1
+    # ceil(t ** (1/d)) = floor((t - 1) ** (1/d)) + 1 for integer t >= 1.
+    return introot(a ** n - 1, d) + 1
 
 
 def floor_scaled_root(x: int, k: int, scale: int) -> int:
@@ -117,12 +113,9 @@ def _scale_for_width(max_width: Fraction) -> int:
     """Smallest s with 2**-s <= max_width."""
     if max_width <= 0:
         raise ValueError("max_width must be positive")
-    s = 0
-    w = Fraction(1)
-    while w > max_width:
-        w /= 2
-        s += 1
-    return s
+    # 2**-s <= p/q  <=>  2**s >= ceil(q/p).
+    p, q = max_width.numerator, max_width.denominator
+    return (-(-q // p) - 1).bit_length()
 
 
 def root_enclosure(a: int, big_c: Rational, max_width: Rational) -> Bracket:
@@ -144,7 +137,7 @@ def root_enclosure(a: int, big_c: Rational, max_width: Rational) -> Bracket:
     if r ** n == t:
         return Bracket(Fraction(r), Fraction(r))
     s = _scale_for_width(Fraction(max_width))
-    m = introot(t << (n * s), n)
+    m = floor_scaled_root(t, n, s)
     return Bracket(dyadic(m, s), dyadic(m + 1, s))
 
 
@@ -157,12 +150,5 @@ def floor_pow_rational(q: Rational, c: Rational) -> int:
     if c < 1:
         raise ValueError("floor_pow_rational requires c >= 1")
     n, d = c.numerator, c.denominator
-    u = q.numerator ** n
-    v = q.denominator ** n
-    # Largest m with m**d * v <= u.
-    m = introot(u // v, d)
-    while (m + 1) ** d * v <= u:
-        m += 1
-    while m > 0 and m ** d * v > u:
-        m -= 1
-    return m
+    # q**c = (u/v) ** (1/d) with u/v = q**n, and m**d <= u/v <=> m**d <= u // v.
+    return introot(q.numerator ** n // q.denominator ** n, d)

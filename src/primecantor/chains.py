@@ -9,14 +9,13 @@ estimates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Literal, Optional, Sequence, Tuple
 
 from . import primality
-from .certified import Rational, pow_ceil, pow_floor, introot
-from .errors import NoPrimeInIntervalError, ResourceBudgetError
+from .certified import Rational, pow_ceil, introot
+from .errors import ResourceBudgetError
 from .primality import PrimalityConfig, SieveConfig, DEFAULT_PRIMALITY, DEFAULT_SIEVE
 
 Policy = Literal["full", "counting"]
@@ -153,16 +152,6 @@ def successors(
     return primality.primes_in_range(lo, hi, sieve_config, primality_config)
 
 
-def count_successors(
-    chain: PrimeChain,
-    policy: Policy = "full",
-    sieve_config: SieveConfig = DEFAULT_SIEVE,
-    primality_config: PrimalityConfig = DEFAULT_PRIMALITY,
-) -> int:
-    lo, hi = _successor_interval(chain.last, chain.next_exponent(), policy)
-    return primality.count_primes_in_range(lo, hi, sieve_config, primality_config)
-
-
 def _successor_interval(a: int, c: Fraction, policy: Policy) -> Tuple[int, int]:
     if policy == "full":
         return admissible_interval(a, c)
@@ -252,8 +241,11 @@ def enumerate_tree(
     def expand(node: TreeNode, remaining: int):
         if remaining == 0:
             if count_leaves:
-                node.branching_total = count_successors(
-                    node.chain, policy, sieve_config, primality_config
+                lo, hi = _successor_interval(
+                    node.label, node.chain.next_exponent(), policy
+                )
+                node.branching_total = primality.count_primes_in_range(
+                    lo, hi, sieve_config, primality_config
                 )
                 node.truncated = node.branching_total > 0
             return
@@ -273,21 +265,3 @@ def enumerate_tree(
     expand(root, depth)
     return root
 
-
-def branching_lower_bound(a: int, c: Rational, Q: float, L: float) -> float:
-    """Q * a**(c-1) / (c * ln a)**L, the per-node branching floor.
-
-    Diagnostic floating-point evaluation; not certified.
-    """
-    if a < 2:
-        raise ValueError("branching_lower_bound requires a >= 2")
-    c = float(Fraction(c))
-    log_val = math.log(Q) + (c - 1.0) * math.log(a) - L * math.log(c * math.log(a))
-    return math.exp(log_val)
-
-
-def measured_branching_ratio(a: int, c: Rational, m: int) -> float:
-    """m * (c * ln a) / a**(c-1), the empirical surrogate for the density
-    constant in the branching bound."""
-    c = float(Fraction(c))
-    return m * c * math.log(a) / math.exp((c - 1.0) * math.log(a))

@@ -21,12 +21,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import __version__, chains, constant, dimension, primality, survey
-from .errors import (
-    EmptyCensusError,
-    InapplicableLevelsError,
-    NeedMoreDepthError,
-    PrimeCantorError,
-)
+from .errors import NeedMoreDepthError, PrimeCantorError
 
 SCHEMA_VERSION = 1
 
@@ -61,7 +56,7 @@ def _exponents_from_args(args) -> chains.ExponentSequence:
         tail = args.c_tail if args.c_tail is not None else head[-1]
         return chains.ExponentSequence.of(head, tail)
     if args.c is None:
-        raise SystemExit("either --c or --c-seq is required")
+        raise ValueError("either --c or --c-seq is required")
     return chains.ExponentSequence.constant(args.c)
 
 
@@ -82,11 +77,7 @@ def _add_exponent_flags(parser: argparse.ArgumentParser):
 
 def cmd_mills(args) -> int:
     exponents = _exponents_from_args(args)
-    try:
-        chain = chains.PrimeChain.seed(args.seed, exponents)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    chain = chains.PrimeChain.seed(args.seed, exponents)
     chain = chains.extend_greedy(chain, args.steps)
     report = constant.verify_representation(chain)
 
@@ -140,20 +131,16 @@ def _exponent_config(exponents: chains.ExponentSequence) -> dict:
 
 def cmd_tree(args) -> int:
     exponents = _exponents_from_args(args)
-    try:
-        root = chains.enumerate_tree(
-            args.seed,
-            exponents,
-            args.depth,
-            branch_cap=args.cap,
-            policy=args.policy,
-            node_budget=args.node_budget,
-            count_leaves=args.count_leaves,
-            sieve_config=_sieve_config(),
-        )
-    except PrimeCantorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    root = chains.enumerate_tree(
+        args.seed,
+        exponents,
+        args.depth,
+        branch_cap=args.cap,
+        policy=args.policy,
+        node_budget=args.node_budget,
+        count_leaves=args.count_leaves,
+        sieve_config=_sieve_config(),
+    )
     for node in root.walk():
         pp = primality.is_probable_only(node.label)
         print(
@@ -168,11 +155,8 @@ def cmd_dimension(args) -> int:
         if not args.p:
             print("error: --bound requires --p", file=sys.stderr)
             return 2
-        value = (
-            dimension.theorem_bound(args.p, args.R)
-            if args.bound == "theorem"
-            else dimension.proposition_bound(args.p, args.R)
-        )
+        # The theorem and proposition bounds share one closed form.
+        value = dimension.proposition_bound(args.p, args.R)
         if args.out == "json":
             print(
                 json.dumps(
@@ -190,11 +174,7 @@ def cmd_dimension(args) -> int:
         return 0
 
     levels = _levels_from_args(args)
-    try:
-        profile, liminf_proxy = dimension.falconer_profile(levels)
-    except InapplicableLevelsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    profile, liminf_proxy = dimension.falconer_profile(levels)
     by_k = {k: est for k, est in profile}
     if args.out == "json":
         payload = {
@@ -213,7 +193,7 @@ def cmd_dimension(args) -> int:
             "liminf_proxy": liminf_proxy,
         }
         if args.p:
-            payload["theorem_bound"] = dimension.theorem_bound(args.p, args.R)
+            payload["theorem_bound"] = dimension.proposition_bound(args.p, args.R)
         print(json.dumps(payload, indent=2))
     else:
         print("k,log_m,log_eps,estimate")
@@ -246,11 +226,11 @@ def _levels_from_args(args) -> List[dimension.LevelStats]:
         return dimension.middle_thirds_levels(args.kmax)
     if args.preset == "paper-simple":
         if not args.p:
-            raise SystemExit("--p is required for the paper-simple preset")
+            raise ValueError("--p is required for the paper-simple preset")
         return dimension.paper_levels_simple(args.p, args.d1, args.delta, args.kmax)
     if args.preset == "paper-general":
         if not args.p:
-            raise SystemExit("--p is required for the paper-general preset")
+            raise ValueError("--p is required for the paper-general preset")
         exponents = _exponents_from_args(args)
         params = dimension.DimensionParams(
             a1=args.p, Q=args.Q, L=args.L,
@@ -259,14 +239,14 @@ def _levels_from_args(args) -> List[dimension.LevelStats]:
         return dimension.paper_levels_general(params, exponents, args.kmax)
     if args.preset == "measured":
         if not args.seed:
-            raise SystemExit("--seed is required for the measured preset")
+            raise ValueError("--seed is required for the measured preset")
         exponents = _exponents_from_args(args)
         tree = chains.enumerate_tree(
             args.seed, exponents, args.depth, policy="full",
             sieve_config=_sieve_config(),
         )
         return dimension.measured_levels(tree)
-    raise SystemExit(f"unknown preset {args.preset!r}")
+    raise ValueError(f"unknown preset {args.preset!r}")
 
 
 def _read_levels_file(path: str) -> List[dimension.LevelStats]:
@@ -275,12 +255,14 @@ def _read_levels_file(path: str) -> List[dimension.LevelStats]:
     with open(path) as fh:
         header = fh.readline()
         if not header.lower().startswith("k,"):
-            raise SystemExit(f"{path}: expected header k,log_m,log_eps")
+            raise ValueError(f"{path}: expected header k,log_m,log_eps")
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
+            if len(parts) < 3:
+                raise ValueError(f"{path}: expected k,log_m,log_eps in {line!r}")
             source = parts[3] if len(parts) > 3 else "measured"
             out.append(
                 dimension.LevelStats(
@@ -292,23 +274,19 @@ def _read_levels_file(path: str) -> List[dimension.LevelStats]:
 
 def cmd_survey(args) -> int:
     cfg = _sieve_config()
-    try:
-        if args.mode == "gamma":
-            records = survey.gamma_survey(
-                args.x, args.gamma, cfg, workers=args.workers
-            )
-            print(survey.CSV_HEADER)
-            for record in records:
-                print(record.csv_row())
-        else:
-            total, good, fraction = survey.matomaki_fraction(
-                args.X, args.c, args.d, cfg, workers=args.workers
-            )
-            print("X,c,d_threshold,total,good,fraction")
-            print(f"{args.X},{args.c},{args.d},{total},{good},{fraction:.6f}")
-    except (PrimeCantorError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.mode == "gamma":
+        records = survey.gamma_survey(
+            args.x, args.gamma, cfg, workers=args.workers
+        )
+        print(survey.CSV_HEADER)
+        for record in records:
+            print(record.csv_row())
+    else:
+        total, good, fraction = survey.matomaki_fraction(
+            args.X, args.c, args.d, cfg, workers=args.workers
+        )
+        print("X,c,d_threshold,total,good,fraction")
+        print(f"{args.X},{args.c},{args.d},{total},{good},{fraction:.6f}")
     return 0
 
 
@@ -378,9 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand.
+
+    Library failures (PrimeCantorError) exit 1; invalid input (ValueError,
+    such as a composite seed or a malformed levels file) and unreadable
+    files (OSError) exit 2.  Either way stderr gets one ``error:`` line.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PrimeCantorError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

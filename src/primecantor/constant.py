@@ -15,14 +15,9 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import primality
-from .certified import Bracket, Rational, dyadic, introot
+from .certified import Bracket, Rational, dyadic, floor_scaled_root, introot
 from .chains import PrimeChain, admissible_interval
 from .errors import NeedMoreDepthError
-
-
-def _level_root_floor(a: int, num: int, den: int, scale: int) -> int:
-    """floor(2**scale * a**(den/num)) for the exponent 1/C with C = num/den."""
-    return introot((a ** den) << (num * scale), num)
 
 
 def _initial_scale(chain: PrimeChain) -> int:
@@ -54,8 +49,8 @@ def bracket_for_chain(
 
     s = _initial_scale(chain)
     while True:
-        m_lo = _level_root_floor(a, num, den, s)
-        m_hi = _level_root_floor(a + 1, num, den, s) + 1
+        m_lo = floor_scaled_root(a ** den, num, s)
+        m_hi = floor_scaled_root((a + 1) ** den, num, s) + 1
         lo, hi = dyadic(m_lo, s), dyadic(m_hi, s)
         slack = dyadic(1, s)
         width = hi - lo
@@ -104,9 +99,8 @@ def _digits_or_none(chain: PrimeChain, n: int) -> Optional[str]:
 
     # floor(10**m * lo) and the largest integer below 10**m * hi, exactly.
     f_lo = introot((a ** den) * 10 ** (m * num), num)
-    t_hi = ((a + 1) ** den) * 10 ** (m * num)
-    r_hi = introot(t_hi, num)
-    g_hi = r_hi - 1 if r_hi ** num == t_hi else r_hi
+    # The largest integer strictly below t ** (1/num) is floor((t - 1) ** (1/num)).
+    g_hi = introot(((a + 1) ** den) * 10 ** (m * num) - 1, num)
     if f_lo != g_hi:
         return None
     text = str(f_lo)
@@ -187,16 +181,3 @@ def verify_representation(
         )
     return RepresentationReport(checks)
 
-
-def true_interval_brackets(
-    chain: PrimeChain, max_width: Rational
-) -> tuple[Bracket, Bracket]:
-    """Separate enclosures of the two true endpoints of the level interval."""
-    from .certified import root_enclosure
-
-    k = len(chain)
-    big_c = chain.exponents.C(k)
-    return (
-        root_enclosure(chain.last, big_c, max_width),
-        root_enclosure(chain.last + 1, big_c, max_width),
-    )

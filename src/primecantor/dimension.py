@@ -37,6 +37,10 @@ class LevelStats:
     log_eps: float
     source: Source = "analytic"
 
+    def __post_init__(self):
+        if not (math.isfinite(self.log_m) and math.isfinite(self.log_eps)):
+            raise ValueError(f"level {self.k}: log_m and log_eps must be finite")
+
     @classmethod
     def from_values(cls, k: int, m: float, eps: float,
                     source: Source = "analytic") -> "LevelStats":
@@ -225,11 +229,6 @@ def proposition_bound(a1: int, R: Rational) -> float:
     if a1 < 2:
         raise ValueError("a1 must be >= 2")
     return 1.0 / (1.0 + float(Fraction(R)) / (a1 * math.log(a1)))
-
-
-def theorem_bound(p: int, R: Rational) -> float:
-    """Identical formula to proposition_bound, named for the seed prime."""
-    return proposition_bound(p, R)
 
 
 def measured_levels(

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Iterator, List
 
 from .errors import NoPrimeInIntervalError, RangeTooLargeError
 
@@ -49,7 +49,6 @@ class SieveConfig:
     segment_size: int = 1 << 18
     base_prime_limit: int = 1_000_000
     width_limit: int = 200_000_000
-    allow_candidate_fallback: bool = True
 
 
 DEFAULT_PRIMALITY = PrimalityConfig()
@@ -237,22 +236,23 @@ def iter_primes_in_range(
 ) -> Iterator[int]:
     """Ascending primes p with lo <= p <= hi, lazily.
 
-    Segments are struck with base primes up to min(sqrt(hi), configured
-    limit); when the base primes cannot certify survivors the per-candidate
-    test takes over, which is how intervals between doubly-exponential chain
-    bounds stay reachable.
+    Raises ValueError when lo > hi and RangeTooLargeError when the width
+    exceeds the sieve budget.  Segments are struck with base primes up to
+    min(sqrt(hi), configured limit); when the base primes cannot certify
+    survivors the per-candidate test takes over, which is how intervals
+    between doubly-exponential chain bounds stay reachable.
     """
     if lo > hi:
-        return
+        raise ValueError(f"prime enumeration requires lo <= hi, got [{lo}, {hi}]")
+    if hi - lo + 1 > sieve_config.width_limit:
+        raise RangeTooLargeError(
+            f"interval width {hi - lo + 1} exceeds budget "
+            f"{sieve_config.width_limit}"
+        )
     lo = max(lo, 2)
     root = math.isqrt(hi)
     base_limit = min(root, sieve_config.base_prime_limit)
     need_check = root > sieve_config.base_prime_limit
-    if need_check and not sieve_config.allow_candidate_fallback:
-        raise RangeTooLargeError(
-            f"sieving to sqrt({hi}) exceeds base prime limit "
-            f"{sieve_config.base_prime_limit} and fallback is disabled"
-        )
     base_primes = small_primes(max(base_limit, 3))
     seg = max(sieve_config.segment_size, 16)
     start = lo
@@ -271,13 +271,6 @@ def primes_in_range(
     primality_config: PrimalityConfig = DEFAULT_PRIMALITY,
 ) -> List[int]:
     """Exactly the primes in [lo, hi], ascending."""
-    if lo > hi:
-        raise ValueError("primes_in_range requires lo <= hi")
-    if hi - lo + 1 > sieve_config.width_limit:
-        raise RangeTooLargeError(
-            f"interval width {hi - lo + 1} exceeds budget "
-            f"{sieve_config.width_limit}"
-        )
     return list(iter_primes_in_range(lo, hi, sieve_config, primality_config))
 
 
@@ -288,13 +281,6 @@ def count_primes_in_range(
     primality_config: PrimalityConfig = DEFAULT_PRIMALITY,
 ) -> int:
     """len(primes_in_range(lo, hi)) without materializing the list."""
-    if lo > hi:
-        raise ValueError("count_primes_in_range requires lo <= hi")
-    if hi - lo + 1 > sieve_config.width_limit:
-        raise RangeTooLargeError(
-            f"interval width {hi - lo + 1} exceeds budget "
-            f"{sieve_config.width_limit}"
-        )
     return sum(1 for _ in iter_primes_in_range(lo, hi, sieve_config, primality_config))
 
 
@@ -327,21 +313,3 @@ def first_prime_in_range(
         base += _WHEEL_MODULUS
     raise NoPrimeInIntervalError(lo, hi)
 
-
-def first_primes_in_range(
-    lo: int,
-    hi: int,
-    count: int,
-    primality_config: PrimalityConfig = DEFAULT_PRIMALITY,
-) -> List[int]:
-    """The smallest ``count`` primes in [lo, hi] (fewer if exhausted)."""
-    found: List[int] = []
-    cursor = lo
-    while len(found) < count and cursor <= hi:
-        try:
-            p = first_prime_in_range(cursor, hi, primality_config)
-        except NoPrimeInIntervalError:
-            break
-        found.append(p)
-        cursor = p + 1
-    return found

@@ -13,7 +13,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import primality
 from .certified import Rational, introot
@@ -83,13 +83,8 @@ def _anchor_upper_bound(X: int, c: Fraction) -> int:
     """floor(X * (3/2) ** (1/c)), by clearing the rational exponent."""
     n, d = c.numerator, c.denominator
     # m <= X * (3/2)**(d/n)  <=>  m**n * 2**d <= X**n * 3**d
-    target = X ** n * 3 ** d
-    m = introot(target // 2 ** d, n)
-    while (m + 1) ** n * 2 ** d <= target:
-        m += 1
-    while m > 0 and m ** n * 2 ** d > target:
-        m -= 1
-    return m
+    #                        <=>  m**n <= X**n * 3**d // 2**d
+    return introot(X ** n * 3 ** d // 2 ** d, n)
 
 
 def matomaki_fraction(
@@ -138,16 +133,3 @@ def _window_is_good(args) -> bool:
     expected = math.exp((c_f - 1.0) * math.log(p)) / (c_f * math.log(p))
     return count > d_threshold * expected
 
-
-def window_record(
-    p: int,
-    c: Rational,
-    sieve_config: SieveConfig = DEFAULT_SIEVE,
-) -> SurveyRecord:
-    """The counting-window observation for one anchor prime."""
-    c = Fraction(c)
-    lo, hi = counting_subinterval(p, c)
-    count = primality.count_primes_in_range(lo, hi, sieve_config)
-    c_f = float(c)
-    ratio = count * c_f * math.log(p) / math.exp((c_f - 1.0) * math.log(p))
-    return SurveyRecord(p, f"c={c}", lo, hi, count, ratio)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import integer_nthroot
 
 from primecantor.certified import (
     Bracket,
@@ -11,7 +12,6 @@ from primecantor.certified import (
     floor_pow_rational,
     floor_scaled_root,
     introot,
-    is_dyadic,
     pow_ceil,
     pow_floor,
     root_enclosure,
@@ -50,6 +50,9 @@ def test_pow_ceil_examples():
     assert pow_ceil(2, 3) == 8
     assert pow_ceil(2, Fraction(5, 2)) == 6
     assert pow_ceil(9, 1) == 9
+    # Exact powers: ceil(t ** (1/d)) = introot(t - 1, d) + 1 must not overshoot.
+    assert pow_ceil(2**729, Fraction(730, 729)) == 2**730
+    assert pow_ceil(27, Fraction(4, 3)) == 81
 
 
 @given(
@@ -69,8 +72,6 @@ def test_pow_floor_ceil_sandwich(a, c):
 def test_dyadic_and_bracket_basics():
     assert dyadic(3, 2) == Fraction(3, 4)
     assert dyadic(3, -1) == 6
-    assert is_dyadic(Fraction(7, 8))
-    assert not is_dyadic(Fraction(1, 3))
     b = Bracket(Fraction(1), Fraction(2))
     assert b.width == 1
     assert b.midpoint() == Fraction(3, 2)
@@ -143,3 +144,105 @@ def test_floor_pow_rational_sandwich(q, c):
     # m <= q**c < m + 1, cleared of the rational exponent.
     assert m**d * q.denominator**n <= q.numerator**n
     assert q.numerator**n < (m + 1) ** d * q.denominator**n
+
+
+# Oracle properties against sympy.integer_nthroot.  The large root degrees
+# 243 and 729 are the Mills levels C_5 and C_6 for c = 3.
+ROOT_DEGREES = st.sampled_from([1, 2, 3, 5, 7, 243, 729])
+
+
+def _base(draw, degree):
+    """Half the time a perfect degree-th power, else a plain integer.
+
+    Exact powers stop at degree 243, with base 2 there: for degree 729 the
+    smallest case, (2**729)**(730/729), has 532k bits, and introot's
+    bit-length Newton start lies twice above its root, so pow_floor would
+    take hundreds of full-size steps.  Exact 729th roots are covered by the
+    near-power introot test and the pow_ceil examples.
+    """
+    if degree <= 243 and draw(st.booleans()):
+        base = draw(st.integers(min_value=1, max_value=30 if degree <= 7 else 2))
+        return base**degree
+    return draw(st.integers(min_value=1, max_value=10**6))
+
+
+@st.composite
+def power_cases(draw):
+    """(a, c) with c = n/d >= 1, d drawn from ROOT_DEGREES."""
+    d = draw(ROOT_DEGREES)
+    c = Fraction(d + draw(st.integers(min_value=0, max_value=3)), d)
+    return _base(draw, c.denominator), c
+
+
+@st.composite
+def enclosure_cases(draw):
+    """(a, C) with C = k/j >= 1, k drawn from ROOT_DEGREES."""
+    k = draw(ROOT_DEGREES)
+    big_c = Fraction(k, draw(st.integers(min_value=1, max_value=min(k, 3))))
+    return _base(draw, big_c.numerator), big_c
+
+
+@given(
+    st.integers(min_value=0, max_value=60),
+    ROOT_DEGREES,
+    st.integers(min_value=-2, max_value=2),
+)
+@settings(max_examples=300, deadline=None)
+def test_introot_matches_sympy_near_powers(r, k, offset):
+    n = max(r**k + offset, 0)
+    assert introot(n, k) == integer_nthroot(n, k)[0]
+
+
+@given(st.integers(min_value=0, max_value=10**400), ROOT_DEGREES)
+@settings(max_examples=200, deadline=None)
+def test_introot_matches_sympy(n, k):
+    assert introot(n, k) == integer_nthroot(n, k)[0]
+
+
+@given(power_cases())
+@settings(max_examples=300, deadline=None)
+def test_pow_floor_ceil_match_sympy(case):
+    a, c = case
+    root, exact = integer_nthroot(a**c.numerator, c.denominator)
+    assert pow_floor(a, c) == root
+    assert pow_ceil(a, c) == (root if exact else root + 1)
+
+
+@given(
+    st.fractions(min_value=Fraction(1, 4), max_value=100, max_denominator=50),
+    ROOT_DEGREES,
+    st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_floor_pow_rational_matches_sympy(q, d, extra):
+    c = Fraction(d + extra, d)
+    n, d = c.numerator, c.denominator
+    u, v = q.numerator**n, q.denominator**n
+    m = floor_pow_rational(q, c)
+    assert m == integer_nthroot(u // v, d)[0]
+    assert m**d * v <= u < (m + 1) ** d * v
+
+
+@given(
+    enclosure_cases(),
+    st.integers(min_value=1, max_value=1000),
+    st.integers(min_value=1, max_value=1 << 40),
+)
+@settings(max_examples=300, deadline=None)
+def test_root_enclosure_matches_sympy(case, w_num, w_den):
+    a, big_c = case
+    width = Fraction(w_num, w_den)
+    n, d = big_c.numerator, big_c.denominator
+    t = a**d  # a ** (1/C) = t ** (1/n)
+    root, exact = integer_nthroot(t, n)
+    b = root_enclosure(a, big_c, width)
+    if exact:
+        assert b.exact and b.lo == root
+        return
+    assert not b.exact and b.closed_lo and b.closed_hi
+    # The coarsest dyadic scale 2**-s with 2**-s <= width.
+    s = b.width.denominator.bit_length() - 1
+    assert b.width == Fraction(1, 1 << s) <= width
+    assert s == 0 or width < 2 * b.width
+    m = integer_nthroot(t << (n * s), n)[0]
+    assert (b.lo, b.hi) == (Fraction(m, 1 << s), Fraction(m + 1, 1 << s))

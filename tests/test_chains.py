@@ -1,6 +1,5 @@
 """Chain intervals, successor enumeration, greedy extension, tree building."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -10,12 +9,9 @@ from primecantor.chains import (
     ExponentSequence,
     PrimeChain,
     admissible_interval,
-    branching_lower_bound,
-    count_successors,
     counting_subinterval,
     enumerate_tree,
     extend_greedy,
-    measured_branching_ratio,
     successors,
 )
 from primecantor.errors import ResourceBudgetError
@@ -100,7 +96,6 @@ def test_successors_examples():
     chain = PrimeChain.seed(2, es)
     assert successors(chain, "full") == [11, 13, 17, 19, 23]
     assert successors(chain, "counting") == [11]
-    assert count_successors(chain, "full") == 5
     two_eleven = chain.extended(11)
     assert successors(two_eleven, "full")[0] == 1361
     with pytest.raises(ValueError):
@@ -179,6 +174,7 @@ def test_enumerate_tree_cap_records_true_totals():
 
 def test_enumerate_tree_count_leaves():
     es = ExponentSequence.constant(3)
+    assert enumerate_tree(2, es, 0, count_leaves=True).branching_total == 5
     root = enumerate_tree(2, es, 1, count_leaves=True)
     for leaf in root.children:
         lo, hi = admissible_interval(leaf.label, 3)
@@ -204,24 +200,3 @@ def test_tree_invariants():
             lo, hi = admissible_interval(node.label, 2)
             assert all(lo <= l <= hi for l in labels)
 
-
-def test_branching_lower_bound_examples():
-    assert branching_lower_bound(2, 3, 1, 1) == pytest.approx(
-        4 / (3 * math.log(2)), rel=1e-12
-    )
-    assert branching_lower_bound(11, 3, 1, 1) == pytest.approx(
-        121 / (3 * math.log(11)), rel=1e-12
-    )
-    assert branching_lower_bound(7, 1, 2.0, 1) == pytest.approx(
-        2.0 / math.log(7), rel=1e-12
-    )
-
-
-def test_measured_branching_ratio_inverts_bound():
-    # With m equal to the floor at Q = 1, the ratio recovers Q up to fp noise.
-    m = branching_lower_bound(11, 3, 1.0, 1.0)
-    # measured_branching_ratio expects integer-like m; use the raw formula scale
-    assert measured_branching_ratio(11, 3, 17) == pytest.approx(
-        17 * 3 * math.log(11) / 11**2, rel=1e-12
-    )
-    assert m > 0

@@ -189,3 +189,46 @@ def test_survey_matomaki_empty_census_errors(capsys):
     )
     assert code == 1
     assert "no primes" in err
+
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # c = 11/10 from seed 2 gives the chain 2, 3, then the interval [4, 4].
+        (("mills", "--seed", "2", "--c", "11/10", "--steps", "3"), 1),
+        (("dimension", "--preset", "measured", "--seed", "2", "--c", "3",
+          "--depth", "0"), 1),
+        (("mills", "--seed", "2"), 2),
+        (("dimension",), 2),
+        (("dimension", "--preset", "paper-simple"), 2),
+        (("dimension", "--preset", "measured", "--c", "3"), 2),
+    ],
+    ids=["no-prime-in-interval", "measured-depth0", "no-exponent",
+         "no-preset", "no-p", "no-seed"],
+)
+def test_errors_exit_with_one_line(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert code == want
+    assert out == ""
+    assert_one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [None, "2,0.69,not-a-float", "2,0.69", "2,nan,-5.0", "2,0.69,inf"],
+    ids=["missing-file", "bad-float", "short-row", "nan", "inf"],
+)
+def test_dimension_levels_file_errors(tmp_path, capsys, row):
+    path = tmp_path / "levels.csv"
+    if row is not None:
+        path.write_text(f"k,log_m,log_eps\n1,0.69,-1.1\n{row}\n")
+    code, out, err = run(capsys, "dimension", "--levels-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err)

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primecantor.certified import root_enclosure
 from primecantor.chains import ExponentSequence, PrimeChain, extend_greedy
 from primecantor.constant import (
     bracket_for_chain,
     digits,
     max_determined_digits,
-    true_interval_brackets,
     verify_representation,
 )
 from primecantor.errors import NeedMoreDepthError
@@ -54,7 +54,9 @@ def test_bracket_target_width_is_honored():
     target = Fraction(1, 1 << 30)
     b = bracket_for_chain(chain, target)
     # The enclosure must cover the true interval, with slack below target.
-    lo_t, hi_t = true_interval_brackets(chain, Fraction(1, 1 << 40))
+    big_c, fine = chain.exponents.C(len(chain)), Fraction(1, 1 << 40)
+    lo_t = root_enclosure(chain.last, big_c, fine)
+    hi_t = root_enclosure(chain.last + 1, big_c, fine)
     assert b.lo <= lo_t.hi and hi_t.lo <= b.hi
     assert b.lo >= lo_t.lo - target and b.hi <= hi_t.hi + target
 

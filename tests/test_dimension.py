@@ -18,7 +18,6 @@ from primecantor.dimension import (
     paper_levels_general,
     paper_levels_simple,
     proposition_bound,
-    theorem_bound,
 )
 from primecantor.errors import InapplicableLevelsError, TruncatedTreeError
 
@@ -31,6 +30,11 @@ def test_level_stats_from_values():
     assert s.log_eps == pytest.approx(math.log(0.25))
     with pytest.raises(ValueError):
         LevelStats.from_values(1, 0.0, 0.5)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            LevelStats(2, bad, -5.0)
+        with pytest.raises(ValueError):
+            LevelStats(2, LOG2, bad)
 
 
 def test_dimension_params_validation():
@@ -154,14 +158,11 @@ def test_proposition_bound_values():
     assert eps < 1e-10
     with pytest.raises(ValueError):
         proposition_bound(1, 3)
-
-
-def test_theorem_bound_values():
-    assert theorem_bound(11, 2) == pytest.approx(
+    assert proposition_bound(11, 2) == pytest.approx(
         1 / (1 + 2 / (11 * math.log(11))), rel=1e-12
     )
-    assert round(theorem_bound(11, 2), 4) == 0.9295
-    assert round(theorem_bound(2, 2), 4) == 0.4094
+    assert round(proposition_bound(11, 2), 4) == 0.9295
+    assert round(proposition_bound(2, 2), 4) == 0.4094
 
 
 def test_measured_levels_cubic_tree():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import isprime as sympy_isprime, nextprime
 
 from primecantor import primality
 from primecantor.errors import NoPrimeInIntervalError, RangeTooLargeError
@@ -13,7 +14,6 @@ from primecantor.primality import (
     SieveConfig,
     count_primes_in_range,
     first_prime_in_range,
-    first_primes_in_range,
     is_prime,
     is_probable_only,
     primes_in_range,
@@ -90,12 +90,16 @@ def test_primes_in_range_examples():
 def test_primes_in_range_rejects_bad_bounds():
     with pytest.raises(ValueError):
         primes_in_range(10, 5)
+    with pytest.raises(ValueError):
+        count_primes_in_range(10, 5)
 
 
 def test_primes_in_range_width_budget():
     tight = SieveConfig(width_limit=10)
     with pytest.raises(RangeTooLargeError):
         primes_in_range(0, 100, tight)
+    with pytest.raises(RangeTooLargeError):
+        count_primes_in_range(0, 100, tight)
 
 
 def test_count_primes_in_range_examples():
@@ -120,12 +124,6 @@ def test_sieve_fallback_far_window():
     lo = 10**18
     got = primes_in_range(lo, lo + 200)
     assert got == [n for n in range(lo, lo + 201) if is_prime(n)]
-
-
-def test_sieve_fallback_can_be_disabled():
-    cfg = SieveConfig(allow_candidate_fallback=False)
-    with pytest.raises(RangeTooLargeError):
-        primes_in_range(10**18, 10**18 + 10, cfg)
 
 
 def test_first_prime_in_range():
@@ -153,16 +151,69 @@ def test_first_prime_matches_sieve_on_random_windows():
                 first_prime_in_range(lo, hi)
 
 
-def test_first_primes_in_range():
-    assert first_primes_in_range(8, 26, 3) == [11, 13, 17]
-    assert first_primes_in_range(8, 26, 99) == [11, 13, 17, 19, 23]
-    assert first_primes_in_range(24, 28, 2) == []
-
-
 @given(st.integers(min_value=0, max_value=50_000))
 @settings(max_examples=200, deadline=None)
 def test_is_prime_agrees_with_trial_division(n):
     assert is_prime(n) == trial_division(n)
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=2, max_value=DETERMINISTIC_LIMIT),
+        st.integers(min_value=DETERMINISTIC_LIMIT, max_value=DETERMINISTIC_LIMIT << 64),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_is_prime_matches_sympy(n):
+    assert is_prime(n) == sympy_isprime(n)
+    p = nextprime(n)
+    assert is_prime(p) and is_probable_only(p) == (p >= DETERMINISTIC_LIMIT)
+
+
+def _first_above_limit(make, k, count):
+    """make(k) -> (n, factors) for k, k+1, ...: the first ``count`` n above
+    DETERMINISTIC_LIMIT whose factors sympy finds all prime."""
+    found = []
+    while len(found) < count:
+        n, factors = make(k)
+        if n > DETERMINISTIC_LIMIT and all(sympy_isprime(f) for f in factors):
+            found.append(n)
+        k += 1
+    return found
+
+
+def test_is_prime_rejects_carmichael_numbers_above_limit():
+    # Chernick: (6k+1)(12k+1)(18k+1) is a Carmichael number when all three
+    # factors are prime.  Above the limit only Baillie-PSW decides.
+    def chernick(k):
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        return math.prod(factors), factors
+
+    k0 = round((DETERMINISTIC_LIMIT / 1296) ** (1 / 3)) - 100
+    for n in _first_above_limit(chernick, k0, 4):
+        assert not sympy_isprime(n)
+        assert not is_prime(n), n
+
+
+def test_is_prime_rejects_semiprimes_p_2p_minus_1():
+    # n = p(2p - 1) with both factors prime is the shape of many strong
+    # pseudoprimes: four above the limit, and a classic one below it.
+    def semiprime(p):
+        return p * (2 * p - 1), (p, 2 * p - 1)
+
+    p0 = math.isqrt(DETERMINISTIC_LIMIT // 2) - 2000
+    for n in _first_above_limit(semiprime, p0, 4):
+        assert not sympy_isprime(n)
+        assert not is_prime(n), n
+    # 1373653 = 829 * 1657 is a strong pseudoprime to bases 2 and 3.
+    n = 1373653
+    assert n == 829 * (2 * 829 - 1)
+    d, s = (n - 1) >> 2, 2
+    assert d % 2 == 1 and d << s == n - 1
+    assert not primality._miller_rabin_witness(n, 2, d, s)
+    assert not primality._miller_rabin_witness(n, 3, d, s)
+    assert not sympy_isprime(n)
+    assert not is_prime(n)
 
 
 @given(

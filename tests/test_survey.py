@@ -11,7 +11,6 @@ from primecantor.survey import (
     SurveyRecord,
     gamma_survey,
     matomaki_fraction,
-    window_record,
 )
 
 
@@ -71,12 +70,6 @@ def test_matomaki_fraction_validation():
         matomaki_fraction(100, Fraction(3, 2), 0.5)
     with pytest.raises(ValueError):
         matomaki_fraction(100, Fraction(2), 1.0)
-
-
-def test_window_record_counts_exactly():
-    rec = window_record(11, Fraction(2))
-    assert (rec.lo, rec.hi) == (121, 132)
-    assert rec.count == len(primes_in_range(121, 132))
 
 
 def test_csv_row_shape():
