@@ -158,6 +158,10 @@ def test_proposition_bound_values():
     assert eps < 1e-10
     with pytest.raises(ValueError):
         proposition_bound(1, 3)
+
+
+def test_theorem_bound_values():
+    # The theorem's bound is the proposition's formula at the seed prime.
     assert proposition_bound(11, 2) == pytest.approx(
         1 / (1 + 2 / (11 * math.log(11))), rel=1e-12
     )
