@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Tuple
 
 Rational = Fraction
 
@@ -104,12 +105,22 @@ def pow_ceil(a: int, c: Rational) -> int:
     return introot(a ** n - 1, d) + 1
 
 
-def floor_scaled_root(x: int, k: int, scale: int) -> int:
-    """floor(2**scale * x**(1/k)) exactly."""
-    return introot(x << (k * scale), k)
+def scaled_root(t: int, n: int, scale: int) -> Tuple[int, int]:
+    """floor and ceiling of scale * t**(1/n), for t >= 0 and scale >= 1, from
+    one ``introot`` call: the floor f is exact iff f**n == t * scale**n."""
+    x = t * scale ** n
+    f = introot(x, n)
+    return f, (f if f ** n == x else f + 1)
 
 
-def _scale_for_width(max_width: Fraction) -> int:
+def slope_scale(x: int, big_c: Rational) -> int:
+    """About -log2 of (1/C) * x**(1/C - 1), the slope of y**(1/C) near x,
+    from the bit length of x; callers add their own guard bits."""
+    c_f = float(big_c)
+    return int(math.log2(c_f) - (1.0 / c_f - 1.0) * (x.bit_length() - 1))
+
+
+def scale_for_width(max_width: Fraction) -> int:
     """Smallest s with 2**-s <= max_width."""
     if max_width <= 0:
         raise ValueError("max_width must be positive")
@@ -131,14 +142,10 @@ def root_enclosure(a: int, big_c: Rational, max_width: Rational) -> Bracket:
     if big_c < 1:
         raise ValueError("root_enclosure requires C >= 1")
     n, d = big_c.numerator, big_c.denominator
-    # a ** (1/C) = (a**d) ** (1/n)
-    t = a ** d
-    r = introot(t, n)
-    if r ** n == t:
-        return Bracket(Fraction(r), Fraction(r))
-    s = _scale_for_width(Fraction(max_width))
-    m = floor_scaled_root(t, n, s)
-    return Bracket(dyadic(m, s), dyadic(m + 1, s))
+    # a ** (1/C) = (a**d) ** (1/n); an exact root gives f == c.
+    s = scale_for_width(Fraction(max_width))
+    f, c = scaled_root(a ** d, n, 1 << s)
+    return Bracket(dyadic(f, s), dyadic(c, s))
 
 
 def floor_pow_rational(q: Rational, c: Rational) -> int:

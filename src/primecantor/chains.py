@@ -196,19 +196,10 @@ class TreeNode:
     def level(self) -> int:
         return len(self.chain)
 
-    def depth(self) -> int:
-        """Number of node levels in this subtree (a lone root has depth 1)."""
-        if not self.children:
-            return 1
-        return 1 + max(child.depth() for child in self.children)
-
     def walk(self):
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def nodes_at_level(self, level: int) -> List["TreeNode"]:
-        return [node for node in self.walk() if node.level == level]
 
 
 def enumerate_tree(

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import __version__, chains, constant, dimension, primality, survey
-from .errors import NeedMoreDepthError, PrimeCantorError
+from .errors import PrimeCantorError
 
 SCHEMA_VERSION = 1
 
@@ -81,14 +81,8 @@ def cmd_mills(args) -> int:
     chain = chains.extend_greedy(chain, args.steps)
     report = constant.verify_representation(chain)
 
-    digit_text: Optional[str] = None
-    need_more: Optional[NeedMoreDepthError] = None
-    try:
-        digit_text = constant.digits(chain, args.digits)
-    except NeedMoreDepthError as exc:
-        need_more = exc
-        if exc.supported > 0:
-            digit_text = constant.digits(chain, exc.supported)
+    supported, digit_text = constant.certified_prefix(chain, args.digits)
+    determined = supported == args.digits
 
     payload = {
         "meta": _metadata(
@@ -101,18 +95,18 @@ def cmd_mills(args) -> int:
         ),
         "chain": [str(a) for a in chain.elements],
         "probable_prime_flags": list(chain.probable_prime_flags()),
-        "digits": digit_text,
-        "digits_determined": need_more is None,
+        "digits": digit_text or None,
+        "digits_determined": determined,
         "verification": report.to_dict(),
     }
-    if need_more is not None:
-        payload["max_supported_digits"] = need_more.supported
+    if not determined:
+        payload["max_supported_digits"] = supported
     print(json.dumps(payload, indent=2))
     if not report.all_passed:
         return 1
-    if need_more is not None and not args.allow_partial:
+    if not determined and not args.allow_partial:
         print(
-            f"error: only {need_more.supported} digits determined "
+            f"error: only {supported} digits determined "
             f"(requested {args.digits}); rerun with --allow-partial or more steps",
             file=sys.stderr,
         )

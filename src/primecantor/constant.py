@@ -9,25 +9,22 @@ than speculative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from os.path import commonprefix
+from typing import List, Optional, Tuple
 
 from . import primality
-from .certified import Bracket, Rational, dyadic, floor_scaled_root, introot
+from .certified import (
+    Bracket,
+    Rational,
+    dyadic,
+    scale_for_width,
+    scaled_root,
+    slope_scale,
+)
 from .chains import PrimeChain, admissible_interval
 from .errors import NeedMoreDepthError
-
-
-def _initial_scale(chain: PrimeChain) -> int:
-    """Starting dyadic scale from the mean-value width estimate."""
-    k = len(chain)
-    c_k = float(chain.exponents.C(k))
-    a = chain.last
-    # width <= (1/C_k) * a ** (1/C_k - 1)
-    log2_width = -math.log2(c_k) + (1.0 / c_k - 1.0) * (a.bit_length() - 1)
-    return max(8, int(-log2_width) + 8)
 
 
 def bracket_for_chain(
@@ -35,38 +32,28 @@ def bracket_for_chain(
 ) -> Bracket:
     """Outward-rounded dyadic enclosure of the chain's level interval.
 
-    The returned bracket contains [a**(1/C), (a+1)**(1/C)); precision is
-    escalated until the rounding slack per endpoint is below 1/8 of the
-    enclosed width (and below target_width/4 when a target is given), so
-    digit decisions downstream stay stable.
+    The returned bracket contains [a**(1/C), (a+1)**(1/C)).  Its scale
+    2**-s is the mean-value width estimate plus 8 guard bits, so the rounding
+    slack per endpoint is below 1/8 of the enclosed width (and below
+    target_width/4 when a target is given): digit decisions stay stable.
     """
     if len(chain) == 0:
         raise ValueError("bracket_for_chain requires a nonempty chain")
-    k = len(chain)
-    big_c = chain.exponents.C(k)
+    big_c = chain.exponents.C(len(chain))
     num, den = big_c.numerator, big_c.denominator
     a = chain.last
 
-    s = _initial_scale(chain)
-    while True:
-        m_lo = floor_scaled_root(a ** den, num, s)
-        m_hi = floor_scaled_root((a + 1) ** den, num, s) + 1
-        lo, hi = dyadic(m_lo, s), dyadic(m_hi, s)
-        slack = dyadic(1, s)
-        width = hi - lo
-        slack_ok = 8 * slack < width
-        target_ok = target_width is None or 4 * slack <= Fraction(target_width)
-        if slack_ok and target_ok:
-            return Bracket(lo, hi, closed_lo=True, closed_hi=False)
-        s *= 2
+    s = max(8, slope_scale(a, big_c) + 8)
+    if target_width is not None:
+        s = max(s, scale_for_width(Fraction(target_width) / 4))
+    m_lo = scaled_root(a ** den, num, 1 << s)[0]
+    m_hi = scaled_root((a + 1) ** den, num, 1 << s)[0] + 1
+    return Bracket(dyadic(m_lo, s), dyadic(m_hi, s), closed_hi=False)
 
 
 def max_determined_digits(chain: PrimeChain, limit: int = 64) -> int:
-    """Largest significant-digit count the level interval pins down."""
-    n = 0
-    while n < limit and _digits_or_none(chain, n + 1) is not None:
-        n += 1
-    return n
+    """Largest significant-digit count (<= limit) the level interval pins down."""
+    return certified_prefix(chain, limit)[0]
 
 
 def digits(chain: PrimeChain, n: int) -> str:
@@ -75,38 +62,42 @@ def digits(chain: PrimeChain, n: int) -> str:
     Raises NeedMoreDepthError (carrying the supported count) when a decimal
     boundary of that granularity crosses the interval.
     """
-    if n < 1:
+    supported, text = certified_prefix(chain, n)
+    if supported < n:
+        raise NeedMoreDepthError(n, supported)
+    return text
+
+
+def certified_prefix(chain: PrimeChain, limit: int) -> Tuple[int, str]:
+    """Count and text of the longest significant-digit prefix (<= limit
+    digits) shared by the whole level interval [lo, hi); (0, "") unless the
+    g integer digits are pinned down, and a ValueError for limit < g.
+
+    F = floor(10**m * lo) and G = the largest integer below 10**m * hi, with
+    m = limit - g, are read once; floor(floor(y) / 10**j) = floor(y / 10**j),
+    and likewise for G, so their common leading digits are the certified ones.
+    """
+    if limit < 1:
         raise ValueError("digit count must be positive")
-    out = _digits_or_none(chain, n)
-    if out is None:
-        raise NeedMoreDepthError(n, max_determined_digits(chain, limit=n))
-    return out
-
-
-def _digits_or_none(chain: PrimeChain, n: int) -> Optional[str]:
     if len(chain) == 0:
         raise ValueError("digits requires a nonempty chain")
-    k = len(chain)
-    big_c = chain.exponents.C(k)
+    big_c = chain.exponents.C(len(chain))
     num, den = big_c.numerator, big_c.denominator
     a = chain.last
 
-    int_part = introot(a ** den, num)
+    int_part = scaled_root(a ** den, num, 1)[0]
     g = len(str(int_part))
-    m = n - g  # digits after the decimal point
-    if m < 0:
-        return None
-
-    # floor(10**m * lo) and the largest integer below 10**m * hi, exactly.
-    f_lo = introot((a ** den) * 10 ** (m * num), num)
-    # The largest integer strictly below t ** (1/num) is floor((t - 1) ** (1/num)).
-    g_hi = introot(((a + 1) ** den) * 10 ** (m * num) - 1, num)
-    if f_lo != g_hi:
-        return None
-    text = str(f_lo)
-    if m == 0:
-        return text
-    return text[:-m] + "." + text[-m:]
+    if limit < g:
+        raise ValueError(
+            f"the constant has {g} integer digits; request at least {g} digits"
+        )
+    m = limit - g
+    lo = str(scaled_root(a ** den, num, 10 ** m)[0] if m else int_part)
+    hi = str(scaled_root((a + 1) ** den, num, 10 ** m)[1] - 1)
+    n = len(commonprefix([lo, hi])) if len(lo) == len(hi) else 0
+    if n < g:
+        return 0, ""
+    return n, (lo[:g] + "." + lo[g:n] if n > g else lo[:g])
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Literal, Optional, Sequence, Tuple
+from itertools import pairwise
+from typing import Dict, List, Literal, Sequence, Tuple
 
-from .certified import Rational, root_enclosure
+from .certified import Rational, scaled_root, slope_scale
 from .chains import ExponentSequence, TreeNode
-from .errors import InapplicableLevelsError, TruncatedTreeError
+from .errors import InapplicableLevelsError, TruncatedTreeError, UncertifiedGapError
 
 LOG2 = math.log(2.0)
 
@@ -242,15 +243,14 @@ def measured_levels(
     level k.  Any truncated node invalidates the minima, so capped trees
     are rejected.
     """
-    node_depth = tree.depth()
-    if node_depth < 2:
+    if not tree.children:
         raise TruncatedTreeError(
             "measured_levels needs a tree with at least two node levels"
         )
     exponents = tree.chain.exponents
     out = []
-    for k in range(2, node_depth + 1):
-        parents = tree.nodes_at_level(k - 1)
+    k, parents, children = 2, [tree], tree.children
+    while children:
         if any(p.truncated for p in parents):
             raise TruncatedTreeError(
                 f"level {k - 1} contains truncated nodes; minima would lie"
@@ -264,26 +264,22 @@ def measured_levels(
         out.append(
             LevelStats(k, _safe_log_int_min(m_k), _log_frac(eps_k), "measured")
         )
+        k, parents = k + 1, children
+        children = [child for p in parents for child in p.children]
     return out
 
 
 def _min_sibling_gap(
     parents: Sequence[TreeNode], big_c: Fraction, guard_bits: int
 ) -> Fraction:
-    """Certified lower bound on min gap between adjacent sibling intervals.
-
-    The gap between the intervals of siblings a < b is
-    b ** (1/C) - (a + 1) ** (1/C); enclosure precision doubles until the
-    certified difference is positive (it must be: sibling labels differ
-    by at least 2).
-    """
-    best: Optional[Fraction] = None
-    for parent in parents:
-        labels = [child.label for child in parent.children]
-        for a, b in zip(labels, labels[1:]):
-            gap = _certified_gap(a + 1, b, big_c, guard_bits)
-            if best is None or gap < best:
-                best = gap
+    """Certified lower bound on min gap between adjacent sibling intervals;
+    the intervals of siblings a < b lie b**(1/C) - (a + 1)**(1/C) apart."""
+    best = min(
+        (_certified_gap(a + 1, b, big_c, guard_bits)
+         for parent in parents
+         for a, b in pairwise(child.label for child in parent.children)),
+        default=None,
+    )
     if best is None:
         raise TruncatedTreeError("no sibling pair on this level")
     return best
@@ -292,21 +288,22 @@ def _min_sibling_gap(
 def _certified_gap(
     lower_label: int, upper_label: int, big_c: Fraction, guard_bits: int
 ) -> Fraction:
-    # Rough scale of the gap from the mean value theorem, then refine.
-    c_f = float(big_c)
-    log2_gap = (
-        -math.log2(c_f)
-        + (1.0 / c_f - 1.0) * (upper_label.bit_length() - 1)
-    )
-    s = max(4, int(-log2_gap) + guard_bits)
-    while True:
-        width = Fraction(1, 1 << s)
-        lo_b = root_enclosure(upper_label, big_c, width)
-        hi_b = root_enclosure(lower_label, big_c, width)
-        gap = lo_b.lo - hi_b.hi
-        if gap > 0:
-            return gap
-        s *= 2
+    """floor(2**s * upper**(1/C)) - ceil(2**s * lower**(1/C)), over 2**s.
+
+    The scale is the mean-value estimate of the gap plus guard_bits, which
+    makes the bound positive for sibling labels (they differ by at least 2);
+    a bound that is not raises UncertifiedGapError.
+    """
+    n, d = big_c.numerator, big_c.denominator
+    s = max(4, slope_scale(upper_label, big_c) + guard_bits)
+    gap = (scaled_root(upper_label ** d, n, 1 << s)[0]
+           - scaled_root(lower_label ** d, n, 1 << s)[1])
+    if gap <= 0:
+        raise UncertifiedGapError(
+            f"{upper_label}**(1/{big_c}) - {lower_label}**(1/{big_c}) is not "
+            f"certified positive at scale 2**-{s}"
+        )
+    return Fraction(gap, 1 << s)
 
 
 def _safe_log_int_min(m: int) -> float:

@@ -34,6 +34,10 @@ class NeedMoreDepthError(PrimeCantorError):
         self.supported = supported
 
 
+class UncertifiedGapError(PrimeCantorError):
+    """A sibling gap did not come out positive at its certified precision."""
+
+
 class TruncatedTreeError(PrimeCantorError):
     """Level statistics were requested from a branch-capped tree."""
 

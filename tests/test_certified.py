@@ -10,11 +10,11 @@ from primecantor.certified import (
     Bracket,
     dyadic,
     floor_pow_rational,
-    floor_scaled_root,
     introot,
     pow_ceil,
     pow_floor,
     root_enclosure,
+    scaled_root,
 )
 
 
@@ -120,9 +120,12 @@ def test_root_enclosure_contains_root(a, big_c, s):
 
 
 def test_floor_scaled_root():
-    assert floor_scaled_root(2, 1, 3) == 16
+    assert scaled_root(2, 1, 1 << 3) == (16, 16)
     # floor(2**10 * 2**(1/2)) = floor(1448.15...) = 1448
-    assert floor_scaled_root(2, 2, 10) == 1448
+    assert scaled_root(2, 2, 1 << 10) == (1448, 1449)
+    # 10**2 * 2**(1/3) = 125.99...; 10**3 * 8**(1/3) = 2000 exactly.
+    assert scaled_root(2, 3, 10**2) == (125, 126)
+    assert scaled_root(8, 3, 10**3) == (2000, 2000)
 
 
 def test_floor_pow_rational_examples():
@@ -246,3 +249,20 @@ def test_root_enclosure_matches_sympy(case, w_num, w_den):
     assert s == 0 or width < 2 * b.width
     m = integer_nthroot(t << (n * s), n)[0]
     assert (b.lo, b.hi) == (Fraction(m, 1 << s), Fraction(m + 1, 1 << s))
+
+
+@given(
+    st.integers(min_value=0, max_value=10**60),
+    ROOT_DEGREES,
+    st.booleans(),
+    st.booleans(),
+    st.integers(min_value=0, max_value=30),
+)
+@settings(max_examples=200, deadline=None)
+def test_scaled_root_matches_sympy(t, n, exact, decimal, e):
+    if exact:
+        t = (t % 50) ** n
+    scale = 10**e if decimal else 1 << e
+    x = t * scale**n
+    root, is_exact = integer_nthroot(x, n)
+    assert scaled_root(t, n, scale) == (root, root if is_exact else root + 1)

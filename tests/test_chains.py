@@ -145,7 +145,6 @@ def test_enumerate_tree_depth0():
     assert root.children == []
     assert root.branching_total == 0
     assert not root.truncated
-    assert root.depth() == 1
     assert root.level == 1
 
 
@@ -155,8 +154,7 @@ def test_enumerate_tree_depth1_full():
     assert root.branching_total == 5
     assert [c.label for c in root.children] == [11, 13, 17, 19, 23]
     assert not root.truncated
-    assert root.depth() == 2
-    assert [n.label for n in root.nodes_at_level(2)] == [11, 13, 17, 19, 23]
+    assert all(c.level == 2 and c.children == [] for c in root.children)
 
 
 def test_enumerate_tree_cap_records_true_totals():

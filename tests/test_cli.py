@@ -53,6 +53,17 @@ def test_mills_partial_digits_exit_code(capsys):
     assert code == 0
 
 
+def test_mills_partial_digits_with_three_integer_digits(capsys):
+    code, out, _ = run(
+        capsys, "mills", "--seed", "100003", "--c", "2", "--steps", "1",
+        "--digits", "40", "--allow-partial",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["digits"] == "316.2325096"
+    assert payload["max_supported_digits"] == 10
+
+
 def test_mills_rejects_composite_seed(capsys):
     code, _, err = run(capsys, "mills", "--seed", "4", "--c", "3")
     assert code == 2
@@ -205,12 +216,15 @@ def assert_one_error_line(err):
         (("dimension", "--preset", "measured", "--seed", "2", "--c", "3",
           "--depth", "0"), 1),
         (("mills", "--seed", "2"), 2),
+        # A lies near 316.23, which has three integer digits.
+        (("mills", "--seed", "100003", "--c", "2", "--steps", "1",
+          "--digits", "2"), 2),
         (("dimension",), 2),
         (("dimension", "--preset", "paper-simple"), 2),
         (("dimension", "--preset", "measured", "--c", "3"), 2),
     ],
     ids=["no-prime-in-interval", "measured-depth0", "no-exponent",
-         "no-preset", "no-p", "no-seed"],
+         "digits-below-integer-part", "no-preset", "no-p", "no-seed"],
 )
 def test_errors_exit_with_one_line(capsys, argv, want):
     code, out, err = run(capsys, *argv)

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import integer_nthroot
 
 from primecantor.certified import root_enclosure
 from primecantor.chains import ExponentSequence, PrimeChain, extend_greedy
 from primecantor.constant import (
     bracket_for_chain,
+    certified_prefix,
     digits,
     max_determined_digits,
     verify_representation,
@@ -133,3 +135,101 @@ def test_brackets_nest_with_depth(steps):
         inner = bracket_for_chain(mills_chain(steps + 1))
         assert outer.lo <= inner.lo + outer.width / 4
         assert inner.hi <= outer.hi + outer.width / 4
+
+
+def seed_chain(p, c, steps=0):
+    return extend_greedy(PrimeChain.seed(p, ExponentSequence.constant(c)), steps)
+
+
+def test_digits_with_several_integer_digits():
+    # A lies in [sqrt(101), sqrt(102)) = [10.0498, 10.0995).
+    chain = seed_chain(101, 2)
+    assert max_determined_digits(chain, limit=20) == 3
+    assert digits(chain, 3) == "10.0"
+    assert digits(chain, 2) == "10"
+    with pytest.raises(ValueError, match="2 integer digits"):
+        digits(chain, 1)
+    # A lies in [316.23250961..., 316.23250962...).
+    chain = seed_chain(100003, 2, steps=1)
+    assert certified_prefix(chain, 40) == (10, "316.2325096")
+    assert certified_prefix(chain, 8) == (8, "316.23250")
+
+
+@given(
+    st.sampled_from([2, 3, 31, 101, 100003]),
+    st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2),
+                     Fraction(3)]),
+    st.integers(min_value=0, max_value=2),
+)
+@settings(max_examples=40, deadline=None)
+def test_bracket_slack_below_an_eighth_of_the_width(p, c, steps):
+    # The scale is computed once, not escalated: its guard bits must keep the
+    # rounding slack 2**-s (at most 1/denominator) under width/8.
+    b = bracket_for_chain(seed_chain(p, c, steps))
+    assert 8 * Fraction(1, max(b.lo.denominator, b.hi.denominator)) < b.width
+
+
+def test_prefix_empty_when_the_integer_part_is_open():
+    # [31**(2/3), 32**(2/3)) = [9.87, 10.08) holds both 9.9 and 10.0.
+    chain = seed_chain(31, Fraction(3, 2))
+    assert certified_prefix(chain, 1) == (0, "")
+    assert certified_prefix(chain, 6) == (0, "")
+    # [41**(2/3), 42**(2/3)) = [11.89, 12.08) shares its leading 1 only.
+    assert certified_prefix(seed_chain(41, Fraction(3, 2)), 6) == (0, "")
+    with pytest.raises(NeedMoreDepthError) as exc:
+        digits(chain, 1)
+    assert exc.value.supported == 0
+
+
+def reference_prefix(chain, limit):
+    """Digit by digit: n digits are certified when floor(10**(n-g) * lo)
+    equals the largest integer below 10**(n-g) * hi (sympy roots)."""
+    big_c = chain.exponents.C(len(chain))
+    num, den = big_c.numerator, big_c.denominator
+    lo_t, hi_t = chain.last ** den, (chain.last + 1) ** den
+    g = len(str(integer_nthroot(lo_t, num)[0]))
+    count, text = 0, ""
+    for n in range(g, limit + 1):
+        scale = 10 ** ((n - g) * num)
+        f_lo = integer_nthroot(lo_t * scale, num)[0]
+        root, exact = integer_nthroot(hi_t * scale, num)
+        if f_lo != (root - 1 if exact else root):
+            break
+        count, digits_text = n, str(f_lo)
+        text = digits_text[:g] + "." + digits_text[g:] if n > g else digits_text
+    return count, text
+
+
+@given(
+    st.sampled_from([2, 3, 5, 11, 31, 41, 101, 1009, 100003]),
+    st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2),
+                     Fraction(3)]),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=6, max_value=30),
+)
+@settings(max_examples=60, deadline=None)
+def test_certified_prefix_matches_digit_loop(p, c, steps, limit):
+    chain = seed_chain(p, c, steps)
+    assert certified_prefix(chain, limit) == reference_prefix(chain, limit)
+
+
+@pytest.mark.parametrize(
+    "seed, exponents, depth",
+    [
+        (2, ExponentSequence.constant(3), 4),
+        (3, ExponentSequence.constant(Fraction(5, 2)), 3),
+        (3, ExponentSequence.constant(2), 6),
+        (2, ExponentSequence.of([3, Fraction(5, 2)], 2), 4),
+    ],
+    ids=["c=3", "c=5/2", "c=2", "c-seq"],
+)
+def test_digit_prefixes_extend_with_depth(seed, exponents, depth):
+    chain = PrimeChain.seed(seed, exponents)
+    prefixes = [certified_prefix(chain, 30)]
+    for _ in range(depth):
+        chain = extend_greedy(chain, 1)
+        prefixes.append(certified_prefix(chain, 30))
+    counts = [count for count, _ in prefixes]
+    assert counts == sorted(counts) and counts[-1] > counts[0]
+    for (_, outer), (_, inner) in zip(prefixes, prefixes[1:]):
+        assert inner.startswith(outer)

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primecantor.certified import root_enclosure
 from primecantor.chains import ExponentSequence, enumerate_tree
 from primecantor.dimension import (
     DimensionParams,
     LevelStats,
+    _certified_gap,
     branching_growth_log,
     falconer_estimate,
     falconer_profile,
@@ -19,7 +21,11 @@ from primecantor.dimension import (
     paper_levels_simple,
     proposition_bound,
 )
-from primecantor.errors import InapplicableLevelsError, TruncatedTreeError
+from primecantor.errors import (
+    InapplicableLevelsError,
+    TruncatedTreeError,
+    UncertifiedGapError,
+)
 
 LOG2, LOG3 = math.log(2.0), math.log(3.0)
 
@@ -206,6 +212,33 @@ def test_measured_levels_rejects_truncated_trees():
     es = ExponentSequence.constant(3)
     with pytest.raises(TruncatedTreeError):
         measured_levels(enumerate_tree(2, es, 2, branch_cap=2))
+
+
+@given(
+    st.integers(min_value=2, max_value=10**12),
+    st.integers(min_value=1, max_value=10**4),
+    st.sampled_from([Fraction(2), Fraction(3), Fraction(9), Fraction(5, 2),
+                     Fraction(27, 4)]),
+    st.sampled_from([8, 16, 48]),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_certified_gap_matches_root_enclosures(a, d, big_c, guard, power):
+    # Sibling labels a < b with b - a >= 2; the gap runs from (a+1)**(1/C).
+    if power:
+        a = max(2, round(a ** (1 / big_c.numerator))) ** big_c.numerator - 1
+    b = a + 1 + d
+    # Mean-value estimate of the gap at b plus the guard bits.
+    c_f = float(big_c)
+    log2_gap = -math.log2(c_f) + (1.0 / c_f - 1.0) * (b.bit_length() - 1)
+    width = Fraction(1, 1 << max(4, int(-log2_gap) + guard))
+    want = root_enclosure(b, big_c, width).lo - root_enclosure(a + 1, big_c, width).hi
+    assert _certified_gap(a + 1, b, big_c, guard) == want > 0
+
+
+def test_certified_gap_rejects_an_empty_gap():
+    with pytest.raises(UncertifiedGapError):
+        _certified_gap(5, 5, Fraction(4), 48)
 
 
 def test_measured_feeds_estimator():
