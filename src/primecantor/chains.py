@@ -16,7 +16,7 @@ from typing import List, Literal, Optional, Sequence, Tuple
 from . import primality
 from .certified import Rational, pow_ceil, introot
 from .errors import ResourceBudgetError
-from .primality import PrimalityConfig, SieveConfig, DEFAULT_PRIMALITY, DEFAULT_SIEVE
+from .primality import SieveConfig, DEFAULT_SIEVE
 
 Policy = Literal["full", "counting"]
 
@@ -87,9 +87,8 @@ class PrimeChain:
     elements: Tuple[int, ...]
 
     @classmethod
-    def seed(cls, p: int, exponents: ExponentSequence,
-             config: PrimalityConfig = DEFAULT_PRIMALITY) -> "PrimeChain":
-        if not primality.is_prime(p, config):
+    def seed(cls, p: int, exponents: ExponentSequence) -> "PrimeChain":
+        if not primality.is_prime(p):
             raise ValueError(f"seed {p} is not prime")
         return cls(exponents, (p,))
 
@@ -145,11 +144,10 @@ def successors(
     chain: PrimeChain,
     policy: Policy = "full",
     sieve_config: SieveConfig = DEFAULT_SIEVE,
-    primality_config: PrimalityConfig = DEFAULT_PRIMALITY,
 ) -> List[int]:
     """All primes extending the chain, ascending, under the given policy."""
     lo, hi = _successor_interval(chain.last, chain.next_exponent(), policy)
-    return primality.primes_in_range(lo, hi, sieve_config, primality_config)
+    return primality.primes_in_range(lo, hi, sieve_config)
 
 
 def _successor_interval(a: int, c: Fraction, policy: Policy) -> Tuple[int, int]:
@@ -160,11 +158,7 @@ def _successor_interval(a: int, c: Fraction, policy: Policy) -> Tuple[int, int]:
     raise ValueError(f"unknown policy {policy!r}")
 
 
-def extend_greedy(
-    chain: PrimeChain,
-    steps: int,
-    primality_config: PrimalityConfig = DEFAULT_PRIMALITY,
-) -> PrimeChain:
+def extend_greedy(chain: PrimeChain, steps: int) -> PrimeChain:
     """Append the smallest admissible prime, ``steps`` times.
 
     Smallest-successor selection is the classical convention and yields the
@@ -174,7 +168,7 @@ def extend_greedy(
         raise ValueError("steps must be >= 0")
     for _ in range(steps):
         lo, hi = admissible_interval(chain.last, chain.next_exponent())
-        p = primality.first_prime_in_range(lo, hi, primality_config)
+        p = primality.first_prime_in_range(lo, hi)
         chain = chain.extended(p)
     return chain
 
@@ -211,7 +205,6 @@ def enumerate_tree(
     node_budget: int = 1_000_000,
     count_leaves: bool = False,
     sieve_config: SieveConfig = DEFAULT_SIEVE,
-    primality_config: PrimalityConfig = DEFAULT_PRIMALITY,
 ) -> TreeNode:
     """Materialize the construction tree through ``depth`` expansions.
 
@@ -226,7 +219,7 @@ def enumerate_tree(
         raise ValueError("depth must be >= 0")
     if branch_cap is not None and branch_cap < 1:
         raise ValueError("branch_cap must be positive")
-    root = TreeNode(PrimeChain.seed(seed, exponents, primality_config))
+    root = TreeNode(PrimeChain.seed(seed, exponents))
     budget = [1]
 
     def expand(node: TreeNode, remaining: int):
@@ -236,11 +229,11 @@ def enumerate_tree(
                     node.label, node.chain.next_exponent(), policy
                 )
                 node.branching_total = primality.count_primes_in_range(
-                    lo, hi, sieve_config, primality_config
+                    lo, hi, sieve_config
                 )
                 node.truncated = node.branching_total > 0
             return
-        succ = successors(node.chain, policy, sieve_config, primality_config)
+        succ = successors(node.chain, policy, sieve_config)
         node.branching_total = len(succ)
         kept = succ if branch_cap is None else succ[:branch_cap]
         node.truncated = len(kept) < len(succ)

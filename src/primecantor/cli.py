@@ -26,12 +26,12 @@ from .errors import PrimeCantorError
 SCHEMA_VERSION = 1
 
 
-def _metadata(config: dict) -> dict:
+def _metadata(settings: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
-        "config": config,
-        "rng_seed": primality.DEFAULT_PRIMALITY.rng_seed,
+        "config": settings,
+        "rng_seed": primality.RNG_SEED,
         "pp_threshold": str(primality.DETERMINISTIC_LIMIT),
     }
 
@@ -147,8 +147,7 @@ def cmd_tree(args) -> int:
 def cmd_dimension(args) -> int:
     if args.bound:
         if not args.p:
-            print("error: --bound requires --p", file=sys.stderr)
-            return 2
+            raise ValueError("--bound requires --p")
         # The theorem and proposition bounds share one closed form.
         value = dimension.proposition_bound(args.p, args.R)
         if args.out == "json":
@@ -269,16 +268,12 @@ def _read_levels_file(path: str) -> List[dimension.LevelStats]:
 def cmd_survey(args) -> int:
     cfg = _sieve_config()
     if args.mode == "gamma":
-        records = survey.gamma_survey(
-            args.x, args.gamma, cfg, workers=args.workers
-        )
+        records = survey.gamma_survey(args.x, args.gamma, cfg)
         print(survey.CSV_HEADER)
         for record in records:
             print(record.csv_row())
     else:
-        total, good, fraction = survey.matomaki_fraction(
-            args.X, args.c, args.d, cfg, workers=args.workers
-        )
+        total, good, fraction = survey.matomaki_fraction(args.X, args.c, args.d, cfg)
         print("X,c,d_threshold,total,good,fraction")
         print(f"{args.X},{args.c},{args.d},{total},{good},{fraction:.6f}")
     return 0
@@ -336,14 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gamma = survey_sub.add_parser("gamma")
     p_gamma.add_argument("--x", type=int, action="append", required=True)
     p_gamma.add_argument("--gamma", type=_parse_fraction, required=True)
-    p_gamma.add_argument("--workers", type=int, default=1)
     p_gamma.set_defaults(func=cmd_survey)
 
     p_mato = survey_sub.add_parser("matomaki")
     p_mato.add_argument("--X", type=int, required=True)
     p_mato.add_argument("--c", type=_parse_fraction, required=True)
     p_mato.add_argument("--d", type=float, required=True)
-    p_mato.add_argument("--workers", type=int, default=1)
     p_mato.set_defaults(func=cmd_survey)
 
     return parser

@@ -140,10 +140,7 @@ class RepresentationReport:
         }
 
 
-def verify_representation(
-    chain: PrimeChain,
-    primality_config: primality.PrimalityConfig = primality.DEFAULT_PRIMALITY,
-) -> RepresentationReport:
+def verify_representation(chain: PrimeChain) -> RepresentationReport:
     """Certify floor(A ** C_j) = a_j for every prefix, exactly.
 
     Each step checks the admissible-interval membership of a_{j+1} under
@@ -165,7 +162,7 @@ def verify_representation(
             LevelCheck(
                 level=j,
                 element=a,
-                is_prime=primality.is_prime(a, primality_config),
+                is_prime=primality.is_prime(a),
                 probable_prime=primality.is_probable_only(a),
                 nesting_ok=nesting,
             )

@@ -2,9 +2,9 @@
 
 Primality is deterministic below ``DETERMINISTIC_LIMIT`` (a known exact
 Miller-Rabin witness set) and strong-probable beyond it: a Baillie-PSW style
-combination of a strong base-2 test and a strong Lucas test, plus a
-configurable number of extra Miller-Rabin rounds whose bases are derived
-from a fixed recorded seed.  All functions are pure; the only shared state
+combination of a strong base-2 test and a strong Lucas test, plus
+``EXTRA_ROUNDS`` Miller-Rabin rounds whose bases are derived from the fixed
+recorded seed ``RNG_SEED``.  All functions are pure; the only shared state
 is a lazily built read-only table of small base primes.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, List
 
 from .errors import NoPrimeInIntervalError, RangeTooLargeError
@@ -27,19 +28,11 @@ _WHEEL_RESIDUES = tuple(
     r for r in range(_WHEEL_MODULUS) if math.gcd(r, _WHEEL_MODULUS) == 1
 )
 
-
-@dataclass(frozen=True)
-class PrimalityConfig:
-    """Reproducibility knobs for the probable-prime regime.
-
-    ``extra_rounds`` random-base Miller-Rabin rounds are appended to the
-    Baillie-PSW test above the deterministic threshold; the bases depend
-    only on ``rng_seed`` and the tested integer, so results are stable
-    across calls and threads.
-    """
-
-    extra_rounds: int = 2
-    rng_seed: int = 20240229
+# Above the threshold, EXTRA_ROUNDS random-base Miller-Rabin rounds follow
+# Baillie-PSW; the bases depend only on RNG_SEED and the tested integer, so
+# verdicts are stable across calls and threads.
+EXTRA_ROUNDS = 2
+RNG_SEED = 20240229
 
 
 @dataclass(frozen=True)
@@ -51,7 +44,6 @@ class SieveConfig:
     width_limit: int = 200_000_000
 
 
-DEFAULT_PRIMALITY = PrimalityConfig()
 DEFAULT_SIEVE = SieveConfig()
 
 _BASE_PRIME_CACHE: dict[int, List[int]] = {}
@@ -157,11 +149,11 @@ def _jacobi(a: int, n: int) -> int:
     return 0
 
 
-def is_prime(n: int, config: PrimalityConfig = DEFAULT_PRIMALITY) -> bool:
+def is_prime(n: int) -> bool:
     """Exact below DETERMINISTIC_LIMIT, strong probable-prime above it."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _DETERMINISTIC_BASES:
         if n == p:
             return True
         if n % p == 0:
@@ -188,12 +180,11 @@ def is_prime(n: int, config: PrimalityConfig = DEFAULT_PRIMALITY) -> bool:
         return False
     if not _strong_lucas_prp(n):
         return False
-    if config.extra_rounds:
-        rng = random.Random(f"{config.rng_seed}:{n}")
-        for _ in range(config.extra_rounds):
-            a = rng.randrange(2, n - 1)
-            if _miller_rabin_witness(n, a, d, s):
-                return False
+    rng = random.Random(f"{RNG_SEED}:{n}")
+    for _ in range(EXTRA_ROUNDS):
+        a = rng.randrange(2, n - 1)
+        if _miller_rabin_witness(n, a, d, s):
+            return False
     return True
 
 
@@ -203,36 +194,27 @@ def is_probable_only(n: int) -> bool:
 
 
 def _sieve_segment(
-    lo: int, hi: int, base_primes: List[int], need_check: bool,
-    config: PrimalityConfig,
+    lo: int, hi: int, base_primes: List[int], need_check: bool
 ) -> Iterator[int]:
-    """Yield primes in [lo, hi] after striking multiples of base_primes.
+    """Yield primes in [lo, hi], 2 <= lo, after striking multiples of base_primes.
 
     When ``need_check`` the base primes do not reach sqrt(hi), so survivors
     are confirmed with is_prime.
     """
-    width = hi - lo + 1
-    flags = bytearray([1]) * width
+    flags = bytearray([1]) * (hi - lo + 1)
     for p in base_primes:
         if p * p > hi:
             break
         start = max(p * p, ((lo + p - 1) // p) * p)
         flags[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
-    for i in range(width):
-        if flags[i]:
-            n = lo + i
-            if n < 2:
-                continue
-            if need_check and not is_prime(n, config):
-                continue
-            yield n
+    survivors = compress(range(lo, hi + 1), flags)
+    return filter(is_prime, survivors) if need_check else survivors
 
 
 def iter_primes_in_range(
     lo: int,
     hi: int,
     sieve_config: SieveConfig = DEFAULT_SIEVE,
-    primality_config: PrimalityConfig = DEFAULT_PRIMALITY,
 ) -> Iterator[int]:
     """Ascending primes p with lo <= p <= hi, lazily.
 
@@ -251,16 +233,16 @@ def iter_primes_in_range(
         )
     lo = max(lo, 2)
     root = math.isqrt(hi)
-    base_limit = min(root, sieve_config.base_prime_limit)
     need_check = root > sieve_config.base_prime_limit
+    # Round sqrt(hi) up to a power of two so that nearby windows share one
+    # cached table; _sieve_segment stops at p*p > hi anyway.
+    base_limit = min(1 << root.bit_length(), sieve_config.base_prime_limit)
     base_primes = small_primes(max(base_limit, 3))
     seg = max(sieve_config.segment_size, 16)
     start = lo
     while start <= hi:
         end = min(start + seg - 1, hi)
-        yield from _sieve_segment(
-            start, end, base_primes, need_check, primality_config
-        )
+        yield from _sieve_segment(start, end, base_primes, need_check)
         start = end + 1
 
 
@@ -268,27 +250,21 @@ def primes_in_range(
     lo: int,
     hi: int,
     sieve_config: SieveConfig = DEFAULT_SIEVE,
-    primality_config: PrimalityConfig = DEFAULT_PRIMALITY,
 ) -> List[int]:
     """Exactly the primes in [lo, hi], ascending."""
-    return list(iter_primes_in_range(lo, hi, sieve_config, primality_config))
+    return list(iter_primes_in_range(lo, hi, sieve_config))
 
 
 def count_primes_in_range(
     lo: int,
     hi: int,
     sieve_config: SieveConfig = DEFAULT_SIEVE,
-    primality_config: PrimalityConfig = DEFAULT_PRIMALITY,
 ) -> int:
     """len(primes_in_range(lo, hi)) without materializing the list."""
-    return sum(1 for _ in iter_primes_in_range(lo, hi, sieve_config, primality_config))
+    return sum(1 for _ in iter_primes_in_range(lo, hi, sieve_config))
 
 
-def first_prime_in_range(
-    lo: int,
-    hi: int,
-    primality_config: PrimalityConfig = DEFAULT_PRIMALITY,
-) -> int:
+def first_prime_in_range(lo: int, hi: int) -> int:
     """Smallest prime in [lo, hi]; raises NoPrimeInIntervalError if none.
 
     Scans wheel-filtered candidates directly, so it works far past any
@@ -308,7 +284,7 @@ def first_prime_in_range(
                 continue
             if c > hi:
                 raise NoPrimeInIntervalError(lo, hi)
-            if is_prime(c, primality_config):
+            if is_prime(c):
                 return c
         base += _WHEEL_MODULUS
     raise NoPrimeInIntervalError(lo, hi)

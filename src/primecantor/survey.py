@@ -10,7 +10,6 @@ and leaves thresholds to the caller.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -43,8 +42,7 @@ class SurveyRecord:
 CSV_HEADER = "anchor,lo,hi,count,density_ratio"
 
 
-def _gamma_record(args) -> SurveyRecord:
-    x, gamma, sieve_config = args
+def _gamma_record(x: int, gamma: Fraction, sieve_config: SieveConfig) -> SurveyRecord:
     length = introot(x ** gamma.numerator, gamma.denominator)
     lo, hi = x, x + length
     count = primality.count_primes_in_range(lo, hi, sieve_config)
@@ -56,7 +54,6 @@ def gamma_survey(
     x_values: Sequence[int],
     gamma: Rational,
     sieve_config: SieveConfig = DEFAULT_SIEVE,
-    workers: int = 1,
 ) -> List[SurveyRecord]:
     """Count primes in [x, x + floor(x**gamma)] for each anchor x.
 
@@ -70,13 +67,7 @@ def gamma_survey(
     for x in x_values:
         if x < 2:
             raise ValueError("anchors must be >= 2")
-    jobs = [(x, gamma, sieve_config) for x in x_values]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_gamma_record, jobs))
-    else:
-        records = [_gamma_record(job) for job in jobs]
-    return records
+    return [_gamma_record(x, gamma, sieve_config) for x in x_values]
 
 
 def _anchor_upper_bound(X: int, c: Fraction) -> int:
@@ -92,7 +83,6 @@ def matomaki_fraction(
     c: Rational,
     d_threshold: float,
     sieve_config: SieveConfig = DEFAULT_SIEVE,
-    workers: int = 1,
 ) -> Tuple[int, int, float]:
     """Fraction of anchor primes whose counting window is prime-rich.
 
@@ -114,19 +104,14 @@ def matomaki_fraction(
         raise EmptyCensusError(
             f"no primes in [{X}, (3/2)**(1/{c}) * {X}]"
         )
-    jobs = [(p, c, d_threshold, sieve_config) for p in anchors]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flags = list(pool.map(_window_is_good, jobs))
-    else:
-        flags = [_window_is_good(job) for job in jobs]
     total = len(anchors)
-    good = sum(flags)
+    good = sum(_window_is_good(p, c, d_threshold, sieve_config) for p in anchors)
     return total, good, good / total
 
 
-def _window_is_good(args) -> bool:
-    p, c, d_threshold, sieve_config = args
+def _window_is_good(
+    p: int, c: Fraction, d_threshold: float, sieve_config: SieveConfig
+) -> bool:
     lo, hi = counting_subinterval(p, c)
     count = primality.count_primes_in_range(lo, hi, sieve_config)
     c_f = float(c)

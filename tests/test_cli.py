@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import primecantor
 from primecantor.cli import main
+
+SRC = os.path.dirname(os.path.dirname(primecantor.__file__))
 
 
 def run(capsys, *argv):
@@ -201,6 +207,27 @@ def test_survey_matomaki_empty_census_errors(capsys):
     assert code == 1
     assert "no primes" in err
 
+
+
+def test_width_limit_env_caps_tree_sieving(capsys, monkeypatch):
+    # The root's admissible interval [8, 26] holds 19 integers.
+    monkeypatch.setenv("PRIMECANTOR_WIDTH_LIMIT", "10")
+    code, out, err = run(capsys, "tree", "--seed", "2", "--c", "3", "--depth", "1")
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err)
+    assert "budget 10" in err
+
+
+def test_import_leaves_out_process_pools():
+    code = "import sys, primecantor.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def assert_one_error_line(err):

@@ -4,13 +4,13 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import isprime as sympy_isprime, nextprime
+from sympy import isprime as sympy_isprime, nextprime, primerange
 
 from primecantor import primality
 from primecantor.errors import NoPrimeInIntervalError, RangeTooLargeError
 from primecantor.primality import (
+    DEFAULT_SIEVE,
     DETERMINISTIC_LIMIT,
-    PrimalityConfig,
     SieveConfig,
     count_primes_in_range,
     first_prime_in_range,
@@ -69,10 +69,8 @@ def test_probable_only_threshold():
 
 def test_extra_rounds_are_deterministic_per_seed():
     n = (1 << 127) - 1  # Mersenne prime above the deterministic limit
-    cfg = PrimalityConfig(extra_rounds=5, rng_seed=7)
-    assert is_prime(n, cfg)
-    assert is_prime(n, cfg)
-    assert is_prime(n, PrimalityConfig(extra_rounds=0))
+    assert is_probable_only(n)
+    assert all(is_prime(n) for _ in range(3))
 
 
 def test_small_primes_counts():
@@ -124,6 +122,33 @@ def test_sieve_fallback_far_window():
     lo = 10**18
     got = primes_in_range(lo, lo + 200)
     assert got == [n for n in range(lo, lo + 201) if is_prime(n)]
+
+
+def test_primes_in_range_matches_sympy_at_base_table_edges():
+    # isqrt(hi) on a power of two (2^j - 1, 2^j, 2^j + 1), where the cached
+    # table size steps, and on the base-prime limit and one past it, which
+    # puts the window in the far regime where survivors need is_prime.
+    limit = DEFAULT_SIEVE.base_prime_limit
+    roots = [r for j in range(1, 20) for r in (2**j - 1, 2**j, 2**j + 1)]
+    for r in roots + [limit, limit + 1]:
+        # Both ends of the isqrt(hi) = r band: hi = r^2 and hi = (r+1)^2 - 1.
+        for hi in (r * r, (r + 1) ** 2 - 1):
+            lo = max(hi - 300, 0)
+            want = list(primerange(lo, hi + 1))
+            assert primes_in_range(lo, hi) == want, (lo, hi)
+            assert count_primes_in_range(lo, hi) == len(want), (lo, hi)
+
+
+def test_base_prime_tables_are_shared_across_windows():
+    # 200 windows whose isqrt(hi) = r runs from 2 to past the base-prime
+    # limit fall into at most 21 tables: one per power of two below the
+    # limit, plus the limit itself.
+    primality._BASE_PRIME_CACHE.clear()
+    roots = [int(2 * 1.075**k) + k for k in range(200)]
+    assert roots[-1] > DEFAULT_SIEVE.base_prime_limit
+    for r in roots:
+        count_primes_in_range(r * r, r * r + min(r, 50))
+    assert len(primality._BASE_PRIME_CACHE) <= 21
 
 
 def test_first_prime_in_range():

@@ -39,13 +39,6 @@ def test_gamma_survey_validation():
         gamma_survey([1], Fraction(2, 3))
 
 
-def test_gamma_survey_workers_match_serial():
-    xs = [10**4, 2 * 10**4, 3 * 10**4]
-    serial = gamma_survey(xs, Fraction(2, 3), workers=1)
-    parallel = gamma_survey(xs, Fraction(2, 3), workers=2)
-    assert serial == parallel
-
-
 def test_matomaki_fraction_square_windows():
     total, good, frac = matomaki_fraction(100, Fraction(2), 0.5)
     # Anchor primes in [100, floor(100 * sqrt(3/2))] = [100, 122].
