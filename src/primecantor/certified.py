@@ -1,10 +1,11 @@
 """Exact rational arithmetic and certified enclosures for powers and roots.
 
 Exponents are exact ``fractions.Fraction`` values, which makes floors and
-ceilings of a**c decidable: a**(n/d) is compared against integers by
-clearing the denominator, entirely in integer arithmetic.  ``introot`` is
-the one root primitive: every floor or ceiling of a rational power in the
-package is a single call to it.  Enclosure endpoints are dyadic rationals
+ceilings of q**e decidable: q**(n/d) is compared against integers by
+clearing the denominator, entirely in integer arithmetic.  ``scaled_pow`` is
+the one place that clears an exponent: every floor or ceiling of a rational
+power in the package is a single call to it, and through it a single call
+to the root primitive ``introot``.  Enclosure endpoints are dyadic rationals
 (integer mantissa over a power of two), so comparisons and midpoints never
 accumulate rounding error.
 """
@@ -78,45 +79,43 @@ class Bracket:
         below = x < self.hi or (self.closed_hi and x == self.hi)
         return above and below
 
-    def __float__(self) -> float:
-        return float(self.midpoint())
+
+def scaled_pow(q: Rational, e: Rational, scale: int = 1) -> Tuple[int, int]:
+    """floor and ceiling of scale * q**e, for rational q > 0, rational e >= 0
+    and integer scale >= 1 (q and e given as int or Fraction).
+
+    With q = u/v and e = n/d, scale * q**e = (t / w) ** (1/d) for
+    t = scale**d * u**n and w = v**n, and m**d <= t/w <=> m**d <= t // w for
+    integer m: one ``introot`` gives the floor f, exact iff f**d * w == t.
+    """
+    u, v, n, d = q.numerator, q.denominator, e.numerator, e.denominator
+    if u <= 0 or n < 0 or scale < 1:
+        raise ValueError("scaled_pow requires q > 0, e >= 0 and scale >= 1")
+    t, w = scale ** d * u ** n, v ** n
+    f = introot(t // w, d)
+    return f, (f if f ** d * w == t else f + 1)
 
 
-def pow_floor(a: int, c: Rational) -> int:
-    """floor(a ** c) exactly, for integer a >= 1 and rational c >= 1."""
-    if a < 1:
-        raise ValueError("pow_floor requires a >= 1")
-    c = Fraction(c)
-    if c < 1:
-        raise ValueError("pow_floor requires c >= 1")
-    n, d = c.numerator, c.denominator
-    return introot(a ** n, d)
+def pow_floor(q: Rational, c: Rational) -> int:
+    """floor(q ** c) exactly, for rational q > 0 and rational c >= 1."""
+    q, c = Fraction(q), Fraction(c)
+    if q <= 0 or c < 1:
+        raise ValueError("pow_floor requires q > 0 and c >= 1")
+    return scaled_pow(q, c)[0]
 
 
 def pow_ceil(a: int, c: Rational) -> int:
     """ceil(a ** c) exactly, for integer a >= 1 and rational c >= 1."""
-    if a < 1:
-        raise ValueError("pow_ceil requires a >= 1")
     c = Fraction(c)
-    if c < 1:
-        raise ValueError("pow_ceil requires c >= 1")
-    n, d = c.numerator, c.denominator
-    # ceil(t ** (1/d)) = floor((t - 1) ** (1/d)) + 1 for integer t >= 1.
-    return introot(a ** n - 1, d) + 1
+    if a < 1 or c < 1:
+        raise ValueError("pow_ceil requires a >= 1 and c >= 1")
+    return scaled_pow(a, c)[1]
 
 
-def scaled_root(t: int, n: int, scale: int) -> Tuple[int, int]:
-    """floor and ceiling of scale * t**(1/n), for t >= 0 and scale >= 1, from
-    one ``introot`` call: the floor f is exact iff f**n == t * scale**n."""
-    x = t * scale ** n
-    f = introot(x, n)
-    return f, (f if f ** n == x else f + 1)
-
-
-def slope_scale(x: int, big_c: Rational) -> int:
-    """About -log2 of (1/C) * x**(1/C - 1), the slope of y**(1/C) near x,
+def slope_scale(x: int, e: Fraction) -> int:
+    """About -log2 of e * x**(e - 1), the slope of y**e near x for e = 1/C,
     from the bit length of x; callers add their own guard bits."""
-    c_f = float(big_c)
+    c_f = e.denominator / e.numerator  # float(C), correctly rounded
     return int(math.log2(c_f) - (1.0 / c_f - 1.0) * (x.bit_length() - 1))
 
 
@@ -141,21 +140,7 @@ def root_enclosure(a: int, big_c: Rational, max_width: Rational) -> Bracket:
     big_c = Fraction(big_c)
     if big_c < 1:
         raise ValueError("root_enclosure requires C >= 1")
-    n, d = big_c.numerator, big_c.denominator
-    # a ** (1/C) = (a**d) ** (1/n); an exact root gives f == c.
+    # An exact root gives equal floor and ceiling.
     s = scale_for_width(Fraction(max_width))
-    f, c = scaled_root(a ** d, n, 1 << s)
+    f, c = scaled_pow(a, 1 / big_c, 1 << s)
     return Bracket(dyadic(f, s), dyadic(c, s))
-
-
-def floor_pow_rational(q: Rational, c: Rational) -> int:
-    """floor(q ** c) exactly for rational q > 0 and rational c >= 1."""
-    q = Fraction(q)
-    c = Fraction(c)
-    if q <= 0:
-        raise ValueError("floor_pow_rational requires q > 0")
-    if c < 1:
-        raise ValueError("floor_pow_rational requires c >= 1")
-    n, d = c.numerator, c.denominator
-    # q**c = (u/v) ** (1/d) with u/v = q**n, and m**d <= u/v <=> m**d <= u // v.
-    return introot(q.numerator ** n // q.denominator ** n, d)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Literal, Optional, Sequence, Tuple
 
 from . import primality
-from .certified import Rational, pow_ceil, introot
+from .certified import Rational, pow_ceil, scaled_pow
 from .errors import ResourceBudgetError
 from .primality import SieveConfig, DEFAULT_SIEVE
 
@@ -133,11 +133,7 @@ def admissible_interval(a: int, c: Rational) -> Tuple[int, int]:
 def counting_subinterval(a: int, c: Rational) -> Tuple[int, int]:
     """Integer bounds of [a**c, a**c + a**(c-1)], the short-density window."""
     c = Fraction(c)
-    lo = pow_ceil(a, c)
-    # floor(a**(c-1) * (a + 1)) with c - 1 = (n - d) / d.
-    n, d = c.numerator, c.denominator
-    hi = introot(a ** (n - d) * (a + 1) ** d, d)
-    return lo, hi
+    return pow_ceil(a, c), scaled_pow(a, c - 1, a + 1)[0]
 
 
 def successors(

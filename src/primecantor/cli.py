@@ -38,9 +38,17 @@ def _metadata(settings: dict) -> dict:
 
 def _sieve_config() -> primality.SieveConfig:
     budget = os.environ.get("PRIMECANTOR_WIDTH_LIMIT")
-    if budget:
-        return primality.SieveConfig(width_limit=int(budget))
-    return primality.DEFAULT_SIEVE
+    if not budget:
+        return primality.DEFAULT_SIEVE
+    try:
+        width_limit = int(budget)
+        if width_limit < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"PRIMECANTOR_WIDTH_LIMIT must be a positive integer, got {budget!r}"
+        ) from None
+    return primality.SieveConfig(width_limit=width_limit)
 
 
 def _parse_fraction(text: str) -> Fraction:

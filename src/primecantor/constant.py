@@ -20,7 +20,7 @@ from .certified import (
     Rational,
     dyadic,
     scale_for_width,
-    scaled_root,
+    scaled_pow,
     slope_scale,
 )
 from .chains import PrimeChain, admissible_interval
@@ -39,15 +39,14 @@ def bracket_for_chain(
     """
     if len(chain) == 0:
         raise ValueError("bracket_for_chain requires a nonempty chain")
-    big_c = chain.exponents.C(len(chain))
-    num, den = big_c.numerator, big_c.denominator
+    e = 1 / chain.exponents.C(len(chain))
     a = chain.last
 
-    s = max(8, slope_scale(a, big_c) + 8)
+    s = max(8, slope_scale(a, e) + 8)
     if target_width is not None:
         s = max(s, scale_for_width(Fraction(target_width) / 4))
-    m_lo = scaled_root(a ** den, num, 1 << s)[0]
-    m_hi = scaled_root((a + 1) ** den, num, 1 << s)[0] + 1
+    m_lo = scaled_pow(a, e, 1 << s)[0]
+    m_hi = scaled_pow(a + 1, e, 1 << s)[0] + 1
     return Bracket(dyadic(m_lo, s), dyadic(m_hi, s), closed_hi=False)
 
 
@@ -81,19 +80,18 @@ def certified_prefix(chain: PrimeChain, limit: int) -> Tuple[int, str]:
         raise ValueError("digit count must be positive")
     if len(chain) == 0:
         raise ValueError("digits requires a nonempty chain")
-    big_c = chain.exponents.C(len(chain))
-    num, den = big_c.numerator, big_c.denominator
+    e = 1 / chain.exponents.C(len(chain))
     a = chain.last
 
-    int_part = scaled_root(a ** den, num, 1)[0]
+    int_part = scaled_pow(a, e)[0]
     g = len(str(int_part))
     if limit < g:
         raise ValueError(
             f"the constant has {g} integer digits; request at least {g} digits"
         )
     m = limit - g
-    lo = str(scaled_root(a ** den, num, 10 ** m)[0] if m else int_part)
-    hi = str(scaled_root((a + 1) ** den, num, 10 ** m)[1] - 1)
+    lo = str(scaled_pow(a, e, 10 ** m)[0] if m else int_part)
+    hi = str(scaled_pow(a + 1, e, 10 ** m)[1] - 1)
     n = len(commonprefix([lo, hi])) if len(lo) == len(hi) else 0
     if n < g:
         return 0, ""

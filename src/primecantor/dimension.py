@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import pairwise
 from typing import Dict, List, Literal, Sequence, Tuple
 
-from .certified import Rational, scaled_root, slope_scale
+from .certified import Rational, scaled_pow, slope_scale
 from .chains import ExponentSequence, TreeNode
 from .errors import InapplicableLevelsError, TruncatedTreeError, UncertifiedGapError
 
@@ -260,7 +260,7 @@ def measured_levels(
                 f"level {k - 1} contains unexpanded nodes"
             )
         m_k = min(p.branching_total for p in parents)
-        eps_k = _min_sibling_gap(parents, exponents.C(k), gap_guard_bits)
+        eps_k = _min_sibling_gap(parents, 1 / exponents.C(k), gap_guard_bits)
         out.append(
             LevelStats(k, _safe_log_int_min(m_k), _log_frac(eps_k), "measured")
         )
@@ -270,12 +270,12 @@ def measured_levels(
 
 
 def _min_sibling_gap(
-    parents: Sequence[TreeNode], big_c: Fraction, guard_bits: int
+    parents: Sequence[TreeNode], e: Fraction, guard_bits: int
 ) -> Fraction:
     """Certified lower bound on min gap between adjacent sibling intervals;
-    the intervals of siblings a < b lie b**(1/C) - (a + 1)**(1/C) apart."""
+    the intervals of siblings a < b lie b**e - (a + 1)**e apart, e = 1/C."""
     best = min(
-        (_certified_gap(a + 1, b, big_c, guard_bits)
+        (_certified_gap(a + 1, b, e, guard_bits)
          for parent in parents
          for a, b in pairwise(child.label for child in parent.children)),
         default=None,
@@ -286,21 +286,20 @@ def _min_sibling_gap(
 
 
 def _certified_gap(
-    lower_label: int, upper_label: int, big_c: Fraction, guard_bits: int
+    lower_label: int, upper_label: int, e: Fraction, guard_bits: int
 ) -> Fraction:
-    """floor(2**s * upper**(1/C)) - ceil(2**s * lower**(1/C)), over 2**s.
+    """floor(2**s * upper**e) - ceil(2**s * lower**e), over 2**s, for e = 1/C.
 
     The scale is the mean-value estimate of the gap plus guard_bits, which
     makes the bound positive for sibling labels (they differ by at least 2);
     a bound that is not raises UncertifiedGapError.
     """
-    n, d = big_c.numerator, big_c.denominator
-    s = max(4, slope_scale(upper_label, big_c) + guard_bits)
-    gap = (scaled_root(upper_label ** d, n, 1 << s)[0]
-           - scaled_root(lower_label ** d, n, 1 << s)[1])
+    s = max(4, slope_scale(upper_label, e) + guard_bits)
+    gap = (scaled_pow(upper_label, e, 1 << s)[0]
+           - scaled_pow(lower_label, e, 1 << s)[1])
     if gap <= 0:
         raise UncertifiedGapError(
-            f"{upper_label}**(1/{big_c}) - {lower_label}**(1/{big_c}) is not "
+            f"{upper_label}**({e}) - {lower_label}**({e}) is not "
             f"certified positive at scale 2**-{s}"
         )
     return Fraction(gap, 1 << s)

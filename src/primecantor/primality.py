@@ -23,11 +23,6 @@ from .errors import NoPrimeInIntervalError, RangeTooLargeError
 DETERMINISTIC_LIMIT = 3317044064679887385961981
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-_WHEEL_MODULUS = 210
-_WHEEL_RESIDUES = tuple(
-    r for r in range(_WHEEL_MODULUS) if math.gcd(r, _WHEEL_MODULUS) == 1
-)
-
 # Above the threshold, EXTRA_ROUNDS random-base Miller-Rabin rounds follow
 # Baillie-PSW; the bases depend only on RNG_SEED and the tested integer, so
 # verdicts are stable across calls and threads.
@@ -39,12 +34,19 @@ RNG_SEED = 20240229
 class SieveConfig:
     """Work and memory budget for interval enumeration."""
 
-    segment_size: int = 1 << 18
     base_prime_limit: int = 1_000_000
     width_limit: int = 200_000_000
 
 
 DEFAULT_SIEVE = SieveConfig()
+
+# Integers per sieved segment, for enumeration and first-hit search alike.
+SEGMENT_SIZE = 1 << 18
+# Base-prime cap of the first-hit search, below enumeration's
+# base_prime_limit of 10**6: a search that stops at its first prime tests
+# only the few survivors in front of it, while enumeration confirms every
+# survivor, so only there do more base primes pay for themselves.
+_FIRST_HIT_BASE_LIMIT = 1 << 16
 
 _BASE_PRIME_CACHE: dict[int, List[int]] = {}
 
@@ -211,6 +213,27 @@ def _sieve_segment(
     return filter(is_prime, survivors) if need_check else survivors
 
 
+def _sieved(lo: int, hi: int, base_limit: int) -> Iterator[int]:
+    """Ascending primes in [lo, hi], one SEGMENT_SIZE segment at a time.
+
+    Segments are struck with base primes up to min(sqrt(hi), base_limit),
+    with sqrt(hi) rounded up to a power of two so that nearby windows share
+    one cached table (_sieve_segment stops at p*p > hi anyway).  When the
+    base primes stop short of sqrt(hi), survivors are confirmed by is_prime,
+    which is how intervals between doubly-exponential chain bounds stay
+    reachable.
+    """
+    lo = max(lo, 2)
+    if lo > hi:
+        return
+    root = math.isqrt(hi)
+    base_primes = small_primes(max(min(1 << root.bit_length(), base_limit), 3))
+    need_check = root > base_limit
+    for start in range(lo, hi + 1, SEGMENT_SIZE):
+        end = min(start + SEGMENT_SIZE - 1, hi)
+        yield from _sieve_segment(start, end, base_primes, need_check)
+
+
 def iter_primes_in_range(
     lo: int,
     hi: int,
@@ -219,10 +242,7 @@ def iter_primes_in_range(
     """Ascending primes p with lo <= p <= hi, lazily.
 
     Raises ValueError when lo > hi and RangeTooLargeError when the width
-    exceeds the sieve budget.  Segments are struck with base primes up to
-    min(sqrt(hi), configured limit); when the base primes cannot certify
-    survivors the per-candidate test takes over, which is how intervals
-    between doubly-exponential chain bounds stay reachable.
+    exceeds the sieve budget.
     """
     if lo > hi:
         raise ValueError(f"prime enumeration requires lo <= hi, got [{lo}, {hi}]")
@@ -231,19 +251,7 @@ def iter_primes_in_range(
             f"interval width {hi - lo + 1} exceeds budget "
             f"{sieve_config.width_limit}"
         )
-    lo = max(lo, 2)
-    root = math.isqrt(hi)
-    need_check = root > sieve_config.base_prime_limit
-    # Round sqrt(hi) up to a power of two so that nearby windows share one
-    # cached table; _sieve_segment stops at p*p > hi anyway.
-    base_limit = min(1 << root.bit_length(), sieve_config.base_prime_limit)
-    base_primes = small_primes(max(base_limit, 3))
-    seg = max(sieve_config.segment_size, 16)
-    start = lo
-    while start <= hi:
-        end = min(start + seg - 1, hi)
-        yield from _sieve_segment(start, end, base_primes, need_check)
-        start = end + 1
+    yield from _sieved(lo, hi, sieve_config.base_prime_limit)
 
 
 def primes_in_range(
@@ -267,25 +275,11 @@ def count_primes_in_range(
 def first_prime_in_range(lo: int, hi: int) -> int:
     """Smallest prime in [lo, hi]; raises NoPrimeInIntervalError if none.
 
-    Scans wheel-filtered candidates directly, so it works far past any
-    sieving budget (this is the record-hunting code path).
+    The search is lazy, sieving one segment at a time until the first
+    survivor, so it has no width budget (this is the record-hunting code
+    path).
     """
-    if lo > hi:
+    p = next(_sieved(lo, hi, _FIRST_HIT_BASE_LIMIT), None)
+    if p is None:
         raise NoPrimeInIntervalError(lo, hi)
-    for n in (2, 3, 5, 7):
-        if lo <= n <= hi:
-            return n
-    n = max(lo, 11)
-    base = (n // _WHEEL_MODULUS) * _WHEEL_MODULUS
-    while base <= hi:
-        for r in _WHEEL_RESIDUES:
-            c = base + r
-            if c < n:
-                continue
-            if c > hi:
-                raise NoPrimeInIntervalError(lo, hi)
-            if is_prime(c):
-                return c
-        base += _WHEEL_MODULUS
-    raise NoPrimeInIntervalError(lo, hi)
-
+    return p

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from . import primality
-from .certified import Rational, introot
+from .certified import Rational, scaled_pow
 from .chains import counting_subinterval
 from .errors import EmptyCensusError
 from .primality import SieveConfig, DEFAULT_SIEVE
@@ -43,7 +43,7 @@ CSV_HEADER = "anchor,lo,hi,count,density_ratio"
 
 
 def _gamma_record(x: int, gamma: Fraction, sieve_config: SieveConfig) -> SurveyRecord:
-    length = introot(x ** gamma.numerator, gamma.denominator)
+    length = scaled_pow(x, gamma)[0]
     lo, hi = x, x + length
     count = primality.count_primes_in_range(lo, hi, sieve_config)
     ratio = count * math.log(x) / math.exp(float(gamma) * math.log(x))
@@ -71,11 +71,8 @@ def gamma_survey(
 
 
 def _anchor_upper_bound(X: int, c: Fraction) -> int:
-    """floor(X * (3/2) ** (1/c)), by clearing the rational exponent."""
-    n, d = c.numerator, c.denominator
-    # m <= X * (3/2)**(d/n)  <=>  m**n * 2**d <= X**n * 3**d
-    #                        <=>  m**n <= X**n * 3**d // 2**d
-    return introot(X ** n * 3 ** d // 2 ** d, n)
+    """floor(X * (3/2) ** (1/c))."""
+    return scaled_pow(Fraction(3, 2), 1 / c, X)[0]
 
 
 def matomaki_fraction(

@@ -9,13 +9,14 @@ from sympy import integer_nthroot
 from primecantor.certified import (
     Bracket,
     dyadic,
-    floor_pow_rational,
     introot,
     pow_ceil,
     pow_floor,
     root_enclosure,
-    scaled_root,
+    scaled_pow,
 )
+from primecantor.chains import counting_subinterval
+from primecantor.survey import _anchor_upper_bound
 
 
 def test_introot_examples():
@@ -50,7 +51,7 @@ def test_pow_ceil_examples():
     assert pow_ceil(2, 3) == 8
     assert pow_ceil(2, Fraction(5, 2)) == 6
     assert pow_ceil(9, 1) == 9
-    # Exact powers: ceil(t ** (1/d)) = introot(t - 1, d) + 1 must not overshoot.
+    # Exact powers: the ceiling equals the floor.
     assert pow_ceil(2**729, Fraction(730, 729)) == 2**730
     assert pow_ceil(27, Fraction(4, 3)) == 81
 
@@ -100,7 +101,7 @@ def test_root_enclosure_cbrt2():
     assert b.width <= Fraction(1, 10**6)
     # Independent check: the endpoints must straddle the cube root of 2.
     assert b.lo**3 <= 2 <= b.hi**3
-    assert abs(float(b) - 1.259921) < 2e-6
+    assert abs(float(b.midpoint()) - 1.259921) < 2e-6
 
 
 @given(
@@ -120,20 +121,27 @@ def test_root_enclosure_contains_root(a, big_c, s):
 
 
 def test_floor_scaled_root():
-    assert scaled_root(2, 1, 1 << 3) == (16, 16)
+    assert scaled_pow(2, 1, 1 << 3) == (16, 16)
     # floor(2**10 * 2**(1/2)) = floor(1448.15...) = 1448
-    assert scaled_root(2, 2, 1 << 10) == (1448, 1449)
+    assert scaled_pow(2, Fraction(1, 2), 1 << 10) == (1448, 1449)
     # 10**2 * 2**(1/3) = 125.99...; 10**3 * 8**(1/3) = 2000 exactly.
-    assert scaled_root(2, 3, 10**2) == (125, 126)
-    assert scaled_root(8, 3, 10**3) == (2000, 2000)
+    assert scaled_pow(2, Fraction(1, 3), 10**2) == (125, 126)
+    assert scaled_pow(8, Fraction(1, 3), 10**3) == (2000, 2000)
+    # Rational base: 3 * (9/4)**(3/2) = 81/8 = 10.125; (4/9)**(1/2) = 2/3.
+    assert scaled_pow(Fraction(9, 4), Fraction(3, 2), 3) == (10, 11)
+    assert scaled_pow(Fraction(4, 9), Fraction(1, 2), 3) == (2, 2)
+    assert scaled_pow(5, 0, 7) == (7, 7)
+    for bad in ((0, 1, 1), (Fraction(-1, 2), 1, 1), (2, Fraction(-1, 2), 1), (2, 1, 0)):
+        with pytest.raises(ValueError):
+            scaled_pow(*bad)
 
 
 def test_floor_pow_rational_examples():
-    assert floor_pow_rational(Fraction(3, 2), 2) == 2
-    assert floor_pow_rational(2, Fraction(5, 2)) == 5
-    assert floor_pow_rational(Fraction(5, 4), 1) == 1
+    assert pow_floor(Fraction(3, 2), 2) == 2
+    assert pow_floor(2, Fraction(5, 2)) == 5
+    assert pow_floor(Fraction(5, 4), 1) == 1
     with pytest.raises(ValueError):
-        floor_pow_rational(Fraction(-1), 2)
+        pow_floor(Fraction(-1), 2)
 
 
 @given(
@@ -142,7 +150,7 @@ def test_floor_pow_rational_examples():
 )
 @settings(max_examples=200, deadline=None)
 def test_floor_pow_rational_sandwich(q, c):
-    m = floor_pow_rational(q, c)
+    m = pow_floor(q, c)
     n, d = c.numerator, c.denominator
     # m <= q**c < m + 1, cleared of the rational exponent.
     assert m**d * q.denominator**n <= q.numerator**n
@@ -221,7 +229,7 @@ def test_floor_pow_rational_matches_sympy(q, d, extra):
     c = Fraction(d + extra, d)
     n, d = c.numerator, c.denominator
     u, v = q.numerator**n, q.denominator**n
-    m = floor_pow_rational(q, c)
+    m = pow_floor(q, c)
     assert m == integer_nthroot(u // v, d)[0]
     assert m**d * v <= u < (m + 1) ** d * v
 
@@ -251,18 +259,66 @@ def test_root_enclosure_matches_sympy(case, w_num, w_den):
     assert (b.lo, b.hi) == (Fraction(m, 1 << s), Fraction(m + 1, 1 << s))
 
 
-@given(
-    st.integers(min_value=0, max_value=10**60),
-    ROOT_DEGREES,
-    st.booleans(),
-    st.booleans(),
-    st.integers(min_value=0, max_value=30),
-)
-@settings(max_examples=200, deadline=None)
-def test_scaled_root_matches_sympy(t, n, exact, decimal, e):
-    if exact:
-        t = (t % 50) ** n
-    scale = 10**e if decimal else 1 << e
+def _root_case(draw):
+    """The integer roots scale * t**(1/n): scale 2**e or 10**e, t half the
+    time an exact n-th power."""
+    t = draw(st.integers(min_value=1, max_value=10**60))
+    n = draw(ROOT_DEGREES)
+    if draw(st.booleans()):
+        t = (t % 50 + 1) ** n
+    e = draw(st.integers(min_value=0, max_value=30))
+    scale = 10**e if draw(st.booleans()) else 1 << e
     x = t * scale**n
     root, is_exact = integer_nthroot(x, n)
-    assert scaled_root(t, n, scale) == (root, root if is_exact else root + 1)
+    assert scaled_pow(t, Fraction(1, n), scale) == (root, root if is_exact else root + 1)
+
+
+def _power_case(draw):
+    """scale * q**e for a rational q, e in (0, 1) or above 1, and scale
+    2**s, 10**m or a + 1."""
+    a = draw(st.integers(min_value=1, max_value=10**6))
+    q = Fraction(a, draw(st.sampled_from([1, 1, 2, 3, 7, 10**5])))
+    if draw(st.booleans()):
+        # An exact power of q, so that the ceiling equals the floor.
+        q = q ** draw(st.sampled_from([2, 3, 5]))
+    den = draw(st.sampled_from([1, 2, 3, 5, 7, 243]))
+    num = draw(st.integers(min_value=1, max_value=3 * den))
+    e = Fraction(num, den)
+    scale = draw(st.sampled_from(
+        [1 << draw(st.integers(0, 60)), 10 ** draw(st.integers(0, 20)), a + 1]
+    ))
+    u, v = q.numerator ** e.numerator, q.denominator ** e.numerator
+    t = scale ** e.denominator * u
+    root = integer_nthroot(t // v, e.denominator)[0]
+    exact = root ** e.denominator * v == t
+    # root <= scale * q**e < root + 1, with the rational exponent cleared.
+    assert root ** e.denominator * v <= t < (root + 1) ** e.denominator * v
+    assert scaled_pow(q, e, scale) == (root, root if exact else root + 1)
+
+
+def _counting_case(draw):
+    """counting_subinterval's upper end against its former inline formula."""
+    a = draw(st.integers(min_value=2, max_value=10**6))
+    c = draw(st.fractions(min_value=2, max_value=4, max_denominator=6))
+    n, d = c.numerator, c.denominator
+    assert counting_subinterval(a, c) == (
+        pow_ceil(a, c), introot(a ** (n - d) * (a + 1) ** d, d)
+    )
+
+
+def _anchor_case(draw):
+    """_anchor_upper_bound against its former inline formula."""
+    X = draw(st.integers(min_value=2, max_value=10**12))
+    c = draw(st.fractions(min_value=2, max_value=4, max_denominator=6))
+    n, d = c.numerator, c.denominator
+    assert _anchor_upper_bound(X, c) == introot(X ** n * 3 ** d // 2 ** d, n)
+
+
+@pytest.mark.parametrize(
+    "case", [_root_case, _power_case, _counting_case, _anchor_case],
+    ids=["root", "power", "counting", "anchor"],
+)
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_scaled_root_matches_sympy(case, data):
+    case(data.draw)

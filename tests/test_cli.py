@@ -219,6 +219,16 @@ def test_width_limit_env_caps_tree_sieving(capsys, monkeypatch):
     assert "budget 10" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_width_limit_env_rejects_invalid_values(capsys, monkeypatch, value):
+    monkeypatch.setenv("PRIMECANTOR_WIDTH_LIMIT", value)
+    code, out, err = run(capsys, "tree", "--seed", "2", "--c", "3", "--depth", "1")
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err)
+    assert "PRIMECANTOR_WIDTH_LIMIT" in err
+
+
 def test_import_leaves_out_process_pools():
     code = "import sys, primecantor.cli; print('concurrent.futures' in sys.modules)"
     env = dict(os.environ)

@@ -48,7 +48,7 @@ def test_bracket_for_chain_depth3_width():
     chain = mills_chain(3)
     b = bracket_for_chain(chain)
     assert b.width < Fraction(1, 10**9)
-    assert abs(float(b) - 1.3063778838) < 1e-9
+    assert abs(float(b.midpoint()) - 1.3063778838) < 1e-9
 
 
 def test_bracket_target_width_is_honored():
@@ -92,7 +92,7 @@ def test_digits_agree_with_enclosure_midpoint():
     b = bracket_for_chain(chain, Fraction(1, 10 ** (n + 4)))
     # The printed prefix truncates the enclosure, so it sits within one ulp
     # of the midpoint at that digit count.
-    assert abs(float(b) - float(text)) < 10.0 ** (1 - n)
+    assert abs(float(b.midpoint()) - float(text)) < 10.0 ** (1 - n)
 
 
 def test_verify_representation_pass():

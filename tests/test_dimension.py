@@ -233,12 +233,12 @@ def test_certified_gap_matches_root_enclosures(a, d, big_c, guard, power):
     log2_gap = -math.log2(c_f) + (1.0 / c_f - 1.0) * (b.bit_length() - 1)
     width = Fraction(1, 1 << max(4, int(-log2_gap) + guard))
     want = root_enclosure(b, big_c, width).lo - root_enclosure(a + 1, big_c, width).hi
-    assert _certified_gap(a + 1, b, big_c, guard) == want > 0
+    assert _certified_gap(a + 1, b, 1 / big_c, guard) == want > 0
 
 
 def test_certified_gap_rejects_an_empty_gap():
     with pytest.raises(UncertifiedGapError):
-        _certified_gap(5, 5, Fraction(4), 48)
+        _certified_gap(5, 5, Fraction(1, 4), 48)
 
 
 def test_measured_feeds_estimator():

@@ -176,6 +176,51 @@ def test_first_prime_matches_sieve_on_random_windows():
                 first_prime_in_range(lo, hi)
 
 
+def _windows_below(his, widths=(0, 1, 10, 300, 2000)):
+    return [(hi - w, hi) for hi in his for w in widths]
+
+
+_CAP = 1 << 16  # first_prime_in_range's base-prime cap
+_FACT_20, _FACT_30 = math.factorial(20), math.factorial(30)
+PRIME_SEARCH_WINDOWS = {
+    # isqrt(hi) = 2^16 - 1, 2^16 and 2^16 + 1: base primes reach sqrt(hi)
+    # up to the cap, and survivors need is_prime past it.
+    "cap": _windows_below(
+        [2**32 - 1, 2**32, (_CAP + 1) ** 2 - 1, (_CAP + 1) ** 2, (_CAP + 1) ** 2 + 5000]
+    ),
+    "above-limit": [
+        (DETERMINISTIC_LIMIT + k, DETERMINISTIC_LIMIT + k + w)
+        for k in (0, 1, 141, 142, 143, 5000) for w in (0, 1, 100, 1000)
+    ],
+    "below-2": [(-10, -1), (-10, 1), (-10, 2), (0, 0), (0, 3), (1, 1), (1, 2), (2, 3)],
+    # n! + 2 .. n! + n are divisible by 2 .. n; 1328 .. 1360 lie between
+    # the primes 1327 and 1361.
+    "prime-free": [(24, 28), (1328, 1360), (_FACT_20 + 2, _FACT_20 + 20),
+                   (_FACT_30 + 2, _FACT_30 + 30)],
+}
+
+
+@pytest.mark.parametrize("kind", PRIME_SEARCH_WINDOWS)
+def test_first_prime_matches_sympy_nextprime(kind):
+    for lo, hi in PRIME_SEARCH_WINDOWS[kind]:
+        want = nextprime(lo - 1)  # the smallest prime >= lo (2 for lo < 2)
+        assert kind != "prime-free" or want > hi
+        if want <= hi:
+            assert first_prime_in_range(lo, hi) == want, (lo, hi)
+        else:
+            with pytest.raises(NoPrimeInIntervalError):
+                first_prime_in_range(lo, hi)
+
+
+def test_first_prime_crosses_segments(monkeypatch):
+    # Segments of 7 integers put most first primes past the first segment.
+    monkeypatch.setattr(primality, "SEGMENT_SIZE", 7)
+    for lo in list(range(-3, 200)) + [2**32 - 40, DETERMINISTIC_LIMIT]:
+        want = nextprime(lo - 1)
+        assert first_prime_in_range(lo, lo + 200) == want, lo
+        assert primes_in_range(lo, want) == [want], lo
+
+
 @given(st.integers(min_value=0, max_value=50_000))
 @settings(max_examples=200, deadline=None)
 def test_is_prime_agrees_with_trial_division(n):
