@@ -28,15 +28,37 @@ def introot(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    # Newton iteration seeded from the bit length; converges from above.
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    while x ** k > n:
+    # Precision doubling, as math.isqrt does for k = 2 (Brent & Zimmermann,
+    # Modern Computer Arithmetic, 1.5): shrink the root's bit count until it
+    # fits a float, then widen it back by one shift h per level.  A loop over
+    # the shifts rather than self-calls, so one call is one root.  Each h
+    # leaves the coarser root b >= h + g bits, which one Newton step needs.
+    g = (k - 1).bit_length()
+    shifts = []
+    bits = -(-n.bit_length() // k)
+    while bits > 32:
+        shifts.append(max((bits - g) // 2, 1))
+        bits -= shifts[-1]
+    total = sum(shifts)
+    m = n >> (k * total)
+    # The root of m has at most 32 bits: the float estimate is off by at
+    # most one.
+    x = int(2.0 ** (math.log2(m) / k))
+    while (x + 1) ** k <= m:
+        x += 1
+    while x ** k > m:
         x -= 1
+    for h in reversed(shifts):
+        total -= h
+        m = n >> (k * total)
+        # x is the floor root of m >> (k*h), so (x + 1) << h exceeds the root
+        # rho of m by at most 2**h.  One Newton step from there stays at or
+        # above floor(rho) and leaves an error of at most
+        # (k - 1) * 2**(h - b) < 1, so the check subtracts at most one.
+        x = (x + 1) << h
+        x = ((k - 1) * x + m // x ** (k - 1)) // k
+        while x ** k > m:
+            x -= 1
     return x
 
 

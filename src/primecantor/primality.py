@@ -46,7 +46,7 @@ SEGMENT_SIZE = 1 << 18
 # base_prime_limit of 10**6: a search that stops at its first prime tests
 # only the few survivors in front of it, while enumeration confirms every
 # survivor, so only there do more base primes pay for themselves.
-_FIRST_HIT_BASE_LIMIT = 1 << 16
+_FIRST_HIT_BASE_LIMIT = 1 << 14
 
 _BASE_PRIME_CACHE: dict[int, List[int]] = {}
 

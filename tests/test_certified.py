@@ -1,5 +1,6 @@
 """Exact power floors/ceilings and certified root enclosures."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,8 @@ def test_pow_floor_examples():
     assert pow_floor(2, 3) == 8
     assert pow_floor(2, Fraction(5, 2)) == 5
     assert pow_floor(4, 1) == 4
+    # An exact power: a 532k-bit input whose 729th root is 2**730.
+    assert pow_floor(2**729, Fraction(730, 729)) == 2**730
     with pytest.raises(ValueError):
         pow_floor(4, Fraction(1, 2))
     with pytest.raises(ValueError):
@@ -158,20 +161,18 @@ def test_floor_pow_rational_sandwich(q, c):
 
 
 # Oracle properties against sympy.integer_nthroot.  The large root degrees
-# 243 and 729 are the Mills levels C_5 and C_6 for c = 3.
-ROOT_DEGREES = st.sampled_from([1, 2, 3, 5, 7, 243, 729])
+# 243, 729 and 2187 are the Mills levels C_5, C_6 and C_7 for c = 3.
+ROOT_DEGREES = st.sampled_from([1, 2, 3, 5, 7, 243, 729, 2187])
 
 
 def _base(draw, degree):
     """Half the time a perfect degree-th power, else a plain integer.
 
-    Exact powers stop at degree 243, with base 2 there: for degree 729 the
-    smallest case, (2**729)**(730/729), has 532k bits, and introot's
-    bit-length Newton start lies twice above its root, so pow_floor would
-    take hundreds of full-size steps.  Exact 729th roots are covered by the
-    near-power introot test and the pow_ceil examples.
+    Exact powers reach every degree in ROOT_DEGREES, up to 2187.  Above
+    degree 7 their base is at most 2: the smallest exact case at degree
+    2187, (2**2187)**(2188/2187), already has 4.8 million bits.
     """
-    if degree <= 243 and draw(st.booleans()):
+    if draw(st.booleans()):
         base = draw(st.integers(min_value=1, max_value=30 if degree <= 7 else 2))
         return base**degree
     return draw(st.integers(min_value=1, max_value=10**6))
@@ -204,10 +205,46 @@ def test_introot_matches_sympy_near_powers(r, k, offset):
     assert introot(n, k) == integer_nthroot(n, k)[0]
 
 
-@given(st.integers(min_value=0, max_value=10**400), ROOT_DEGREES)
+def _newton_root(n, k):
+    """floor(n ** (1/k)) by Newton from the bit-length start 2**ceil(bits/k):
+    a second reference, quick only for small n, since that start can lie
+    twice above the root and each step then shrinks the error by 1 - 1/k."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    while x**k > n:
+        x -= 1
+    return x
+
+
+@given(
+    ROOT_DEGREES,
+    st.booleans(),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=-2, max_value=2),
+)
 @settings(max_examples=200, deadline=None)
-def test_introot_matches_sympy(n, k):
-    assert introot(n, k) == integer_nthroot(n, k)[0]
+def test_introot_matches_sympy(k, small, near_power, seed, offset):
+    """Random n, or a perturbed k-th power, of up to 1,400 bits (small, also
+    checked against the Newton reference) or else up to 20k bits for k <= 7
+    and 100k bits for the Mills degrees, which introot widens through
+    several levels."""
+    rng = random.Random(seed)
+    bits = rng.randrange(1_400 if small else 20_000 if k <= 7 else 100_000)
+    if near_power:
+        n = max(rng.getrandbits(bits // k + 1) ** k + offset, 0)
+    else:
+        n = rng.getrandbits(bits)
+    r = introot(n, k)
+    assert r == integer_nthroot(n, k)[0]
+    if small:
+        assert r == _newton_root(n, k)
 
 
 @given(power_cases())

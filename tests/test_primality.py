@@ -180,13 +180,15 @@ def _windows_below(his, widths=(0, 1, 10, 300, 2000)):
     return [(hi - w, hi) for hi in his for w in widths]
 
 
-_CAP = 1 << 16  # first_prime_in_range's base-prime cap
+_CAP = primality._FIRST_HIT_BASE_LIMIT  # first_prime_in_range's base-prime cap
 _FACT_20, _FACT_30 = math.factorial(20), math.factorial(30)
 PRIME_SEARCH_WINDOWS = {
-    # isqrt(hi) = 2^16 - 1, 2^16 and 2^16 + 1: base primes reach sqrt(hi)
-    # up to the cap, and survivors need is_prime past it.
+    # isqrt(hi) = cap - 1, cap and cap + 1: base primes reach sqrt(hi) up
+    # to the cap, and survivors need is_prime past it; also 2^16 - 1 and
+    # 2^16, further past it.
     "cap": _windows_below(
-        [2**32 - 1, 2**32, (_CAP + 1) ** 2 - 1, (_CAP + 1) ** 2, (_CAP + 1) ** 2 + 5000]
+        [_CAP**2 - 1, _CAP**2, (_CAP + 1) ** 2 - 1, (_CAP + 1) ** 2, (_CAP + 1) ** 2 + 5000,
+         2**32 - 1, 2**32]
     ),
     "above-limit": [
         (DETERMINISTIC_LIMIT + k, DETERMINISTIC_LIMIT + k + w)
