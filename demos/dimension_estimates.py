@@ -37,8 +37,8 @@ def main():
 
     print()
     print("measured tree, seed 2, c=3, two expansions:")
-    tree = enumerate_tree(2, ExponentSequence.constant(3), 2)
-    levels = measured_levels(tree)
+    cubic = ExponentSequence.constant(3)
+    levels = measured_levels(enumerate_tree(2, cubic, 2), cubic)
     profile, proxy = falconer_profile(levels)
     for k, est in profile:
         print(f"  level {k}: estimate {est:.4f}")

@@ -75,13 +75,12 @@ class Bracket:
 
     lo: Fraction
     hi: Fraction
-    closed_lo: bool = True
     closed_hi: bool = True
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("Bracket endpoints out of order")
-        if self.lo == self.hi and not (self.closed_lo and self.closed_hi):
+        if self.lo == self.hi and not self.closed_hi:
             raise ValueError("degenerate Bracket must be closed")
 
     @property
@@ -97,9 +96,7 @@ class Bracket:
 
     def __contains__(self, x) -> bool:
         x = Fraction(x)
-        above = x > self.lo or (self.closed_lo and x == self.lo)
-        below = x < self.hi or (self.closed_hi and x == self.hi)
-        return above and below
+        return self.lo <= x and (x < self.hi or (self.closed_hi and x == self.hi))
 
 
 def scaled_pow(q: Rational, e: Rational, scale: int = 1) -> Tuple[int, int]:

@@ -25,41 +25,33 @@ Policy = Literal["full", "counting"]
 class ExponentSequence:
     """The exponent sequence (c_k): an explicit head, then a constant tail.
 
-    All values are exact rationals with 1 + theta <= c_k <= R; the partial
-    products C_k are computed on demand and stay exact.
+    All values are exact rationals with 1 + theta <= c_k <= R, where theta
+    is the smallest value minus 1 and R the largest; the partial products
+    C_k are computed on demand and stay exact.
     """
 
     head: Tuple[Fraction, ...]
     tail: Fraction
-    theta: Fraction
-    R: Fraction
 
     @classmethod
-    def constant(cls, c: Rational, theta: Optional[Rational] = None,
-                 R: Optional[Rational] = None) -> "ExponentSequence":
-        c = Fraction(c)
-        return cls.of((), c, theta, R)
+    def constant(cls, c: Rational) -> "ExponentSequence":
+        return cls.of((), c)
 
     @classmethod
-    def of(cls, head: Sequence[Rational], tail: Rational,
-           theta: Optional[Rational] = None,
-           R: Optional[Rational] = None) -> "ExponentSequence":
-        head_f = tuple(Fraction(c) for c in head)
-        tail_f = Fraction(tail)
-        values = head_f + (tail_f,)
-        theta_f = Fraction(theta) if theta is not None else min(values) - 1
-        r_f = Fraction(R) if R is not None else max(values)
-        return cls(head_f, tail_f, theta_f, r_f)
+    def of(cls, head: Sequence[Rational], tail: Rational) -> "ExponentSequence":
+        return cls(tuple(Fraction(c) for c in head), Fraction(tail))
 
     def __post_init__(self):
         if self.theta < 0:
             raise ValueError("theta must be nonnegative")
-        for c in self.head + (self.tail,):
-            if not (1 + self.theta <= c <= self.R):
-                raise ValueError(
-                    f"exponent {c} outside [1 + theta, R] = "
-                    f"[{1 + self.theta}, {self.R}]"
-                )
+
+    @property
+    def theta(self) -> Fraction:
+        return min(self.head + (self.tail,)) - 1
+
+    @property
+    def R(self) -> Fraction:
+        return max(self.head + (self.tail,))
 
     def c(self, k: int) -> Fraction:
         """c_k, 1-indexed."""
@@ -105,18 +97,6 @@ class PrimeChain:
     def next_exponent(self) -> Fraction:
         """The exponent c_{k+1} used to extend this chain."""
         return self.exponents.c(len(self.elements) + 1)
-
-    def nesting_ok(self) -> bool:
-        """The interval-membership invariant, checked exactly at each step."""
-        for i in range(len(self.elements) - 1):
-            c = self.exponents.c(i + 2)
-            lo, hi = admissible_interval(self.elements[i], c)
-            if not lo <= self.elements[i + 1] <= hi:
-                return False
-        return True
-
-    def probable_prime_flags(self) -> Tuple[bool, ...]:
-        return tuple(primality.is_probable_only(a) for a in self.elements)
 
 
 def admissible_interval(a: int, c: Rational) -> Tuple[int, int]:
@@ -171,20 +151,14 @@ def extend_greedy(chain: PrimeChain, steps: int) -> PrimeChain:
 
 @dataclass
 class TreeNode:
-    """One node of the (breadth-limited) construction tree."""
+    """One node of the (breadth-limited) construction tree: the prime
+    ``label`` = a_level of every chain through it, the seed at level 1."""
 
-    chain: PrimeChain
+    label: int
+    level: int
     children: List["TreeNode"] = field(default_factory=list)
     branching_total: int = 0
     truncated: bool = False
-
-    @property
-    def label(self) -> int:
-        return self.chain.last
-
-    @property
-    def level(self) -> int:
-        return len(self.chain)
 
     def walk(self):
         yield self
@@ -215,21 +189,22 @@ def enumerate_tree(
         raise ValueError("depth must be >= 0")
     if branch_cap is not None and branch_cap < 1:
         raise ValueError("branch_cap must be positive")
-    root = TreeNode(PrimeChain.seed(seed, exponents))
+    root = TreeNode(PrimeChain.seed(seed, exponents).last, 1)
     budget = [1]
 
     def expand(node: TreeNode, remaining: int):
-        if remaining == 0:
-            if count_leaves:
-                lo, hi = _successor_interval(
-                    node.label, node.chain.next_exponent(), policy
-                )
-                node.branching_total = primality.count_primes_in_range(
-                    lo, hi, sieve_config
-                )
-                node.truncated = node.branching_total > 0
+        if remaining == 0 and not count_leaves:
             return
-        succ = successors(node.chain, policy, sieve_config)
+        lo, hi = _successor_interval(
+            node.label, exponents.c(node.level + 1), policy
+        )
+        if remaining == 0:
+            node.branching_total = primality.count_primes_in_range(
+                lo, hi, sieve_config
+            )
+            node.truncated = node.branching_total > 0
+            return
+        succ = primality.primes_in_range(lo, hi, sieve_config)
         node.branching_total = len(succ)
         kept = succ if branch_cap is None else succ[:branch_cap]
         node.truncated = len(kept) < len(succ)
@@ -238,10 +213,9 @@ def enumerate_tree(
             raise ResourceBudgetError(
                 f"tree node budget {node_budget} exceeded"
             )
-        node.children = [TreeNode(node.chain.extended(p)) for p in kept]
+        node.children = [TreeNode(p, node.level + 1) for p in kept]
         for child in node.children:
             expand(child, remaining - 1)
 
     expand(root, depth)
     return root
-

@@ -14,6 +14,7 @@ and the probable-prime threshold.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -102,7 +103,7 @@ def cmd_mills(args) -> int:
             }
         ),
         "chain": [str(a) for a in chain.elements],
-        "probable_prime_flags": list(chain.probable_prime_flags()),
+        "probable_prime_flags": [c.probable_prime for c in report.levels],
         "digits": digit_text or None,
         "digits_determined": determined,
         "verification": report.to_dict(),
@@ -235,7 +236,7 @@ def _levels_from_args(args) -> List[dimension.LevelStats]:
         exponents = _exponents_from_args(args)
         params = dimension.DimensionParams(
             a1=args.p, Q=args.Q, L=args.L,
-            theta=exponents.theta, R=exponents.R, delta=args.delta,
+            theta=exponents.theta, R=exponents.R,
         )
         return dimension.paper_levels_general(params, exponents, args.kmax)
     if args.preset == "measured":
@@ -246,7 +247,7 @@ def _levels_from_args(args) -> List[dimension.LevelStats]:
             args.seed, exponents, args.depth, policy="full",
             sieve_config=_sieve_config(),
         )
-        return dimension.measured_levels(tree)
+        return dimension.measured_levels(tree, exponents)
     raise ValueError(f"unknown preset {args.preset!r}")
 
 
@@ -287,6 +288,7 @@ def cmd_survey(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="primecantor",
@@ -357,8 +359,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     such as a composite seed or a malformed levels file) and unreadable
     files (OSError) exit 2.  Either way stderr gets one ``error:`` line.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PrimeCantorError as exc:

@@ -42,13 +42,6 @@ class LevelStats:
         if not (math.isfinite(self.log_m) and math.isfinite(self.log_eps)):
             raise ValueError(f"level {self.k}: log_m and log_eps must be finite")
 
-    @classmethod
-    def from_values(cls, k: int, m: float, eps: float,
-                    source: Source = "analytic") -> "LevelStats":
-        if m <= 0 or eps <= 0:
-            raise ValueError("level statistics must be positive")
-        return cls(k, math.log(m), math.log(eps), source)
-
 
 @dataclass(frozen=True)
 class DimensionParams:
@@ -59,15 +52,12 @@ class DimensionParams:
     L: float = 1.0
     theta: Fraction = Fraction(1)
     R: Fraction = Fraction(3)
-    delta: float = 0.01
 
     def __post_init__(self):
         if self.a1 < 2:
             raise ValueError("a1 must be >= 2")
         if self.Q <= 0 or self.L <= 0:
             raise ValueError("Q and L must be positive")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
         if self.R < 1 + self.theta:
             raise ValueError("R must be >= 1 + theta")
 
@@ -164,6 +154,8 @@ def paper_levels_simple(
         raise ValueError("k_max must be >= 2")
     if d1 <= 0:
         raise ValueError("d1 must be positive")
+    if not 0 <= delta < 1:
+        raise ValueError("delta must lie in [0, 1)")
     log_p = math.log(p)
     log_p1 = math.log(p + 1)
     log3 = math.log(3.0)
@@ -233,9 +225,9 @@ def proposition_bound(a1: int, R: Rational) -> float:
 
 
 def measured_levels(
-    tree: TreeNode, gap_guard_bits: int = 48
+    tree: TreeNode, exponents: ExponentSequence
 ) -> List[LevelStats]:
-    """Exact level statistics measured on an enumerated tree.
+    """Exact level statistics measured on a tree enumerated with ``exponents``.
 
     For each level k >= 2 present in the tree: m_k is the minimum recorded
     branching over level-(k-1) nodes, and eps_k is a certified lower bound
@@ -247,7 +239,6 @@ def measured_levels(
         raise TruncatedTreeError(
             "measured_levels needs a tree with at least two node levels"
         )
-    exponents = tree.chain.exponents
     out = []
     k, parents, children = 2, [tree], tree.children
     while children:
@@ -260,7 +251,7 @@ def measured_levels(
                 f"level {k - 1} contains unexpanded nodes"
             )
         m_k = min(p.branching_total for p in parents)
-        eps_k = _min_sibling_gap(parents, 1 / exponents.C(k), gap_guard_bits)
+        eps_k = _min_sibling_gap(parents, 1 / exponents.C(k))
         out.append(
             LevelStats(k, _safe_log_int_min(m_k), _log_frac(eps_k), "measured")
         )
@@ -269,13 +260,11 @@ def measured_levels(
     return out
 
 
-def _min_sibling_gap(
-    parents: Sequence[TreeNode], e: Fraction, guard_bits: int
-) -> Fraction:
+def _min_sibling_gap(parents: Sequence[TreeNode], e: Fraction) -> Fraction:
     """Certified lower bound on min gap between adjacent sibling intervals;
     the intervals of siblings a < b lie b**e - (a + 1)**e apart, e = 1/C."""
     best = min(
-        (_certified_gap(a + 1, b, e, guard_bits)
+        (_certified_gap(a + 1, b, e)
          for parent in parents
          for a, b in pairwise(child.label for child in parent.children)),
         default=None,
@@ -286,7 +275,7 @@ def _min_sibling_gap(
 
 
 def _certified_gap(
-    lower_label: int, upper_label: int, e: Fraction, guard_bits: int
+    lower_label: int, upper_label: int, e: Fraction, guard_bits: int = 48
 ) -> Fraction:
     """floor(2**s * upper**e) - ceil(2**s * lower**e), over 2**s, for e = 1/C.
 

@@ -26,7 +26,6 @@ class SurveyRecord:
     """One short-interval observation."""
 
     anchor: int
-    exponent_label: str
     lo: int
     hi: int
     count: int
@@ -47,7 +46,7 @@ def _gamma_record(x: int, gamma: Fraction, sieve_config: SieveConfig) -> SurveyR
     lo, hi = x, x + length
     count = primality.count_primes_in_range(lo, hi, sieve_config)
     ratio = count * math.log(x) / math.exp(float(gamma) * math.log(x))
-    return SurveyRecord(x, f"gamma={gamma}", lo, hi, count, ratio)
+    return SurveyRecord(x, lo, hi, count, ratio)
 
 
 def gamma_survey(

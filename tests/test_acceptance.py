@@ -279,7 +279,7 @@ def test_criterion_8_measured_tree():
     seed = first_prime_in_range(10**5, 10**5 + 100)
     es = ExponentSequence.constant(2)
     tree = enumerate_tree(seed, es, 1, policy="full")
-    levels = measured_levels(tree)
+    levels = measured_levels(tree, es)
     est = falconer_estimate(levels, 2)
     eps2 = math.exp(levels[0].log_eps)
     analytic = 0.25 * float(seed + 1) ** -1.5

@@ -287,7 +287,7 @@ def test_root_enclosure_matches_sympy(case, w_num, w_den):
     if exact:
         assert b.exact and b.lo == root
         return
-    assert not b.exact and b.closed_lo and b.closed_hi
+    assert not b.exact and b.closed_hi
     # The coarsest dyadic scale 2**-s with 2**-s <= width.
     s = b.width.denominator.bit_length() - 1
     assert b.width == Fraction(1, 1 << s) <= width

@@ -14,6 +14,7 @@ from primecantor.chains import (
     extend_greedy,
     successors,
 )
+from primecantor.constant import verify_representation
 from primecantor.errors import ResourceBudgetError
 from primecantor.primality import primes_in_range
 
@@ -36,10 +37,8 @@ def test_exponent_sequence_head_tail():
 
 
 def test_exponent_sequence_validation():
-    with pytest.raises(ValueError):
-        ExponentSequence.of([3], 2, theta=Fraction(3, 2))  # 2 < 1 + theta
-    with pytest.raises(ValueError):
-        ExponentSequence.constant(Fraction(1, 2))  # below 1 + theta for any theta >= 0
+    with pytest.raises(ValueError, match="theta must be nonnegative"):
+        ExponentSequence.constant(Fraction(1, 2))  # theta = -1/2
     with pytest.raises(IndexError):
         ExponentSequence.constant(2).c(0)
 
@@ -113,8 +112,9 @@ def test_extend_greedy_mills():
     es = ExponentSequence.constant(3)
     chain = extend_greedy(PrimeChain.seed(2, es), 3)
     assert chain.elements == (2, 11, 1361, 2521008887)
-    assert chain.nesting_ok()
-    assert chain.probable_prime_flags() == (False,) * 4
+    report = verify_representation(chain)
+    assert report.all_passed
+    assert [c.probable_prime for c in report.levels] == [False] * 4
 
 
 def test_extend_greedy_square_case():
@@ -129,14 +129,6 @@ def test_extend_greedy_zero_steps():
     assert extend_greedy(chain, 0) is chain
     with pytest.raises(ValueError):
         extend_greedy(chain, -1)
-
-
-def test_nesting_ok_detects_violation():
-    es = ExponentSequence.constant(3)
-    bad = PrimeChain(es, (2, 29))
-    assert not bad.nesting_ok()
-    good = PrimeChain(es, (2, 11, 1361))
-    assert good.nesting_ok()
 
 
 def test_enumerate_tree_depth0():
@@ -187,14 +179,21 @@ def test_enumerate_tree_budget():
 
 
 def test_tree_invariants():
-    es = ExponentSequence.constant(2)
-    root = enumerate_tree(3, es, 2)
-    for node in root.walk():
-        assert len(node.children) <= max(node.branching_total, 0)
-        if node.children:
-            labels = [c.label for c in node.children]
-            assert labels == sorted(labels)
-            assert node.truncated == (len(labels) < node.branching_total)
-            lo, hi = admissible_interval(node.label, 2)
-            assert all(lo <= l <= hi for l in labels)
+    # Each node's children are the successors of the chain along its root
+    # path, so a non-constant sequence checks that level k expands with
+    # c_{k+1}.
+    def check(node, chain):
+        assert (node.label, node.level) == (chain.last, len(chain))
+        labels = [c.label for c in node.children]
+        if node.level <= 2:
+            assert labels == successors(chain)
+            assert node.branching_total == len(labels) and not node.truncated
+        else:
+            assert labels == [] and node.branching_total == 0
+        for child in node.children:
+            check(child, chain.extended(child.label))
+
+    for seed, es in [(3, ExponentSequence.constant(2)),
+                     (2, ExponentSequence.of([3, Fraction(5, 2)], 2))]:
+        check(enumerate_tree(seed, es, 2), PrimeChain.seed(seed, es))
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior."""
 
+import hashlib
 import json
 import math
 import os
@@ -114,6 +115,31 @@ def test_tree_cap(capsys):
     assert lines[0].split(",")[2] == "2"
 
 
+HEAD_TAIL = ("--seed", "2", "--c-seq", "3,5/2", "--c-tail", "2", "--depth", "2")
+
+
+def test_tree_head_tail_exponents(capsys):
+    # The root expands with c_2 = 5/2 ([2**(5/2), 3**(5/2)) holds 7, 11, 13)
+    # and level 2 with c_3 = 2.
+    code, out, _ = run(capsys, "tree", *HEAD_TAIL)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 16
+    assert lines[:2] == ["0,2,3,0,0", "1,7,3,0,0"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c837494304a6116bc40962298bc4edad6c8e847c01c7ef82a27814c0495a4a15"
+    )
+
+
+def test_dimension_measured_head_tail_exponents(capsys):
+    code, out, _ = run(capsys, "dimension", "--preset", "measured", *HEAD_TAIL)
+    assert code == 0
+    assert "# final_estimate=0.168528311\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "da598dd2864ef8fa84037f37b0dbb6d98fdbcfe4e47162947c3d705b94812d53"
+    )
+
+
 def test_dimension_cantor_thirds(capsys):
     code, out, _ = run(
         capsys, "dimension", "--preset", "cantor-thirds", "--kmax", "40"
@@ -188,6 +214,14 @@ def test_survey_gamma_rows(capsys):
     assert lines[1].split(",")[3] == "1"
 
 
+def test_main_runs_twice_in_one_process(capsys):
+    # The parser is built once; repeated --x flags must not carry over.
+    for _ in range(2):
+        code, out, _ = run(capsys, "survey", "gamma", "--x", "1000", "--gamma", "1/2")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 2  # header + one row
+
+
 def test_survey_matomaki(capsys):
     code, out, _ = run(
         capsys, "survey", "matomaki", "--X", "100", "--c", "2", "--d", "0"
@@ -259,9 +293,16 @@ def assert_one_error_line(err):
         (("dimension",), 2),
         (("dimension", "--preset", "paper-simple"), 2),
         (("dimension", "--preset", "measured", "--c", "3"), 2),
+        # delta outside [0, 1) would give a "dimension" above 1 (-0.5) or no
+        # estimate at all (1.5).
+        (("dimension", "--preset", "paper-simple", "--p", "11",
+          "--delta", "-0.5", "--kmax", "6"), 2),
+        (("dimension", "--preset", "paper-simple", "--p", "11",
+          "--delta", "1.5", "--kmax", "6"), 2),
     ],
     ids=["no-prime-in-interval", "measured-depth0", "no-exponent",
-         "digits-below-integer-part", "no-preset", "no-p", "no-seed"],
+         "digits-below-integer-part", "no-preset", "no-p", "no-seed",
+         "negative-delta", "delta-above-one"],
 )
 def test_errors_exit_with_one_line(capsys, argv, want):
     code, out, err = run(capsys, *argv)

@@ -30,12 +30,7 @@ from primecantor.errors import (
 LOG2, LOG3 = math.log(2.0), math.log(3.0)
 
 
-def test_level_stats_from_values():
-    s = LevelStats.from_values(3, 4.0, 0.25, "measured")
-    assert s.log_m == pytest.approx(math.log(4.0))
-    assert s.log_eps == pytest.approx(math.log(0.25))
-    with pytest.raises(ValueError):
-        LevelStats.from_values(1, 0.0, 0.5)
+def test_level_stats_rejects_non_finite():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
             LevelStats(2, bad, -5.0)
@@ -47,8 +42,6 @@ def test_dimension_params_validation():
     DimensionParams(a1=1009)
     with pytest.raises(ValueError):
         DimensionParams(a1=1)
-    with pytest.raises(ValueError):
-        DimensionParams(a1=10, delta=1.5)
     with pytest.raises(ValueError):
         DimensionParams(a1=10, theta=Fraction(5), R=Fraction(3))
 
@@ -126,6 +119,9 @@ def test_paper_levels_simple_validation():
         paper_levels_simple(7, 0.5, 0.01, 1)
     with pytest.raises(ValueError):
         paper_levels_simple(7, 0.0, 0.01, 5)
+    for delta in (-0.5, 1.0, 1.5):
+        with pytest.raises(ValueError, match="delta"):
+            paper_levels_simple(11, 0.5, delta, 6)
 
 
 def test_paper_levels_general_substitution():
@@ -178,7 +174,7 @@ def test_theorem_bound_values():
 def test_measured_levels_cubic_tree():
     es = ExponentSequence.constant(3)
     tree = enumerate_tree(2, es, 2)
-    levels = measured_levels(tree)
+    levels = measured_levels(tree, es)
     assert [lvl.k for lvl in levels] == [2, 3]
     assert all(lvl.source == "measured" for lvl in levels)
     lvl2, lvl3 = levels
@@ -205,13 +201,13 @@ def test_measured_levels_cubic_tree():
 def test_measured_levels_requires_two_node_levels():
     es = ExponentSequence.constant(3)
     with pytest.raises(TruncatedTreeError):
-        measured_levels(enumerate_tree(2, es, 0))
+        measured_levels(enumerate_tree(2, es, 0), es)
 
 
 def test_measured_levels_rejects_truncated_trees():
     es = ExponentSequence.constant(3)
     with pytest.raises(TruncatedTreeError):
-        measured_levels(enumerate_tree(2, es, 2, branch_cap=2))
+        measured_levels(enumerate_tree(2, es, 2, branch_cap=2), es)
 
 
 @given(
@@ -243,7 +239,7 @@ def test_certified_gap_rejects_an_empty_gap():
 
 def test_measured_feeds_estimator():
     es = ExponentSequence.constant(3)
-    levels = measured_levels(enumerate_tree(2, es, 2))
+    levels = measured_levels(enumerate_tree(2, es, 2), es)
     est = falconer_estimate(levels, 3)
     assert 0.0 < est < 1.0
 

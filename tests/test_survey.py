@@ -66,7 +66,7 @@ def test_matomaki_fraction_validation():
 
 
 def test_csv_row_shape():
-    rec = SurveyRecord(8, "gamma=2/3", 8, 12, 1, 0.5198603854)
+    rec = SurveyRecord(8, 8, 12, 1, 0.5198603854)
     row = rec.csv_row()
     assert row.split(",")[:4] == ["8", "8", "12", "1"]
     assert len(row.split(",")) == len(CSV_HEADER.split(","))
