@@ -154,33 +154,26 @@ def cmd_tree(args) -> int:
 
 
 def cmd_dimension(args) -> int:
+    exponents = _dimension_exponents(args)
+    # The levels come first, so that a bad seed fails with their message.
+    levels = None if args.bound else _levels_from_args(args, exponents)
+    # The theorem and proposition bounds share one closed form.
+    bound = None if exponents is None else dimension.proposition_bound(
+        args.seed, exponents.R
+    )
     if args.bound:
-        if not args.p:
-            raise ValueError("--bound requires --p")
-        # The theorem and proposition bounds share one closed form.
-        value = dimension.proposition_bound(args.p, args.R)
         if args.out == "json":
-            print(
-                json.dumps(
-                    {
-                        "meta": _metadata(
-                            {"bound": args.bound, "p": args.p, "R": str(args.R)}
-                        ),
-                        "value": value,
-                    },
-                    indent=2,
-                )
-            )
+            config = {"bound": args.bound, "p": args.seed, "R": str(exponents.R)}
+            print(json.dumps({"meta": _metadata(config), "value": bound}, indent=2))
         else:
-            print(f"{value:.10f}")
+            print(f"{bound:.10f}")
         return 0
 
-    levels = _levels_from_args(args)
     profile, liminf_proxy = dimension.falconer_profile(levels)
     by_k = {k: est for k, est in profile}
     if args.out == "json":
         payload = {
-            "meta": _metadata(_dimension_config(args)),
+            "meta": _metadata(_dimension_config(args, exponents)),
             "levels": [
                 {
                     "k": s.k,
@@ -194,8 +187,8 @@ def cmd_dimension(args) -> int:
             "final_estimate": profile[-1][1],
             "liminf_proxy": liminf_proxy,
         }
-        if args.p:
-            payload["theorem_bound"] = dimension.proposition_bound(args.p, args.R)
+        if bound is not None:
+            payload["theorem_bound"] = bound
         print(json.dumps(payload, indent=2))
     else:
         print("k,log_m,log_eps,estimate")
@@ -208,56 +201,63 @@ def cmd_dimension(args) -> int:
     return 0
 
 
-def _dimension_config(args) -> dict:
+def _dimension_exponents(args) -> Optional[chains.ExponentSequence]:
+    """The exponent sequence of levels grown from --seed, None for the rest."""
+    if not args.bound:
+        if args.levels_file or args.preset == "cantor-thirds":
+            return None
+        if args.preset is None:
+            raise ValueError("one of --preset, --levels-file or --bound is required")
+    if not args.seed:
+        what = "--bound" if args.bound else f"the {args.preset} preset"
+        raise ValueError(f"--seed (or --p) is required for {what}")
+    if args.preset == "paper-simple" and not args.bound:
+        return chains.ExponentSequence.constant(3)
+    return _exponents_from_args(args)
+
+
+def _dimension_config(args, exponents: Optional[chains.ExponentSequence]) -> dict:
     return {
         "preset": args.preset,
         "kmax": args.kmax,
-        "p": args.p,
+        "p": args.seed,
         "delta": args.delta,
         "d1": args.d1,
         "Q": args.Q,
         "L": args.L,
-        "R": str(args.R),
+        "R": None if exponents is None else str(exponents.R),
     }
 
 
-def _levels_from_args(args) -> List[dimension.LevelStats]:
+def _levels_from_args(args, exponents) -> List[dimension.LevelStats]:
     if args.levels_file:
         return _read_levels_file(args.levels_file)
     if args.preset == "cantor-thirds":
         return dimension.middle_thirds_levels(args.kmax)
     if args.preset == "paper-simple":
-        if not args.p:
-            raise ValueError("--p is required for the paper-simple preset")
-        return dimension.paper_levels_simple(args.p, args.d1, args.delta, args.kmax)
+        return dimension.paper_levels_simple(args.seed, args.d1, args.delta, args.kmax)
     if args.preset == "paper-general":
-        if not args.p:
-            raise ValueError("--p is required for the paper-general preset")
-        exponents = _exponents_from_args(args)
         params = dimension.DimensionParams(
-            a1=args.p, Q=args.Q, L=args.L,
+            a1=args.seed, Q=args.Q, L=args.L,
             theta=exponents.theta, R=exponents.R,
         )
         return dimension.paper_levels_general(params, exponents, args.kmax)
-    if args.preset == "measured":
-        if not args.seed:
-            raise ValueError("--seed is required for the measured preset")
-        exponents = _exponents_from_args(args)
-        tree = chains.enumerate_tree(
-            args.seed, exponents, args.depth, policy="full",
-            sieve_config=_sieve_config(),
-        )
-        return dimension.measured_levels(tree, exponents)
-    raise ValueError(f"unknown preset {args.preset!r}")
+    tree = chains.enumerate_tree(
+        args.seed, exponents, args.depth, policy="full",
+        sieve_config=_sieve_config(),
+    )
+    return dimension.measured_levels(tree, exponents)
 
 
 def _read_levels_file(path: str) -> List[dimension.LevelStats]:
-    """CSV with header k,log_m,log_eps[,source]."""
+    """CSV with header k,log_m,log_eps[,source]; other columns are ignored,
+    and levels without a source column count as measured."""
     out = []
     with open(path) as fh:
-        header = fh.readline()
-        if not header.lower().startswith("k,"):
+        header = fh.readline().strip().lower()
+        if not header.startswith("k,"):
             raise ValueError(f"{path}: expected header k,log_m,log_eps")
+        has_source = header.split(",")[3:4] == ["source"]
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -265,7 +265,9 @@ def _read_levels_file(path: str) -> List[dimension.LevelStats]:
             parts = line.split(",")
             if len(parts) < 3:
                 raise ValueError(f"{path}: expected k,log_m,log_eps in {line!r}")
-            source = parts[3] if len(parts) > 3 else "measured"
+            source = parts[3].strip() if has_source and len(parts) > 3 else "measured"
+            if source not in ("analytic", "measured"):
+                raise ValueError(f"{path}: unknown source {source!r} in {line!r}")
             out.append(
                 dimension.LevelStats(
                     int(parts[0]), float(parts[1]), float(parts[2]), source
@@ -323,16 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_dim.add_argument("--levels-file", default=None)
     p_dim.add_argument("--bound", choices=["proposition", "theorem"], default=None)
     p_dim.add_argument("--kmax", type=int, default=20)
-    p_dim.add_argument("--p", type=int, default=None)
     p_dim.add_argument("--delta", type=float, default=0.01)
     p_dim.add_argument("--d1", type=float, default=0.5)
     p_dim.add_argument("--Q", type=float, default=0.5)
     p_dim.add_argument("--L", type=float, default=1.0)
-    p_dim.add_argument("--R", type=_parse_fraction, default=Fraction(3))
-    p_dim.add_argument("--seed", type=int, default=None)
+    p_dim.add_argument("--seed", "--p", type=int, default=None, help="seed prime a1")
     p_dim.add_argument("--depth", type=int, default=1)
     _add_exponent_flags(p_dim)
-    p_dim.add_argument("--out", choices=["json", "csv", "text"], default="csv")
+    p_dim.add_argument("--out", choices=["json", "csv"], default="csv")
     p_dim.set_defaults(func=cmd_dimension)
 
     p_survey = sub.add_parser("survey", help="short-interval density surveys")

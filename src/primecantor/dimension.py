@@ -252,9 +252,7 @@ def measured_levels(
             )
         m_k = min(p.branching_total for p in parents)
         eps_k = _min_sibling_gap(parents, 1 / exponents.C(k))
-        out.append(
-            LevelStats(k, _safe_log_int_min(m_k), _log_frac(eps_k), "measured")
-        )
+        out.append(LevelStats(k, math.log(m_k), _log_frac(eps_k), "measured"))
         k, parents = k + 1, children
         children = [child for p in parents for child in p.children]
     return out
@@ -292,12 +290,6 @@ def _certified_gap(
             f"certified positive at scale 2**-{s}"
         )
     return Fraction(gap, 1 << s)
-
-
-def _safe_log_int_min(m: int) -> float:
-    if m <= 0:
-        raise InapplicableLevelsError("level with zero branching")
-    return math.log(m)
 
 
 def branching_growth_log(x: float, t: float, s: float, L: float) -> float:

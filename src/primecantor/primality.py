@@ -52,19 +52,23 @@ _BASE_PRIME_CACHE: dict[int, List[int]] = {}
 
 
 def small_primes(limit: int) -> List[int]:
-    """All primes <= limit via a classic sieve; cached per limit."""
+    """All primes <= limit; cached per limit.
+
+    One _sieve_segment over [2, limit], struck with the cached table of
+    the next power of two above sqrt(limit), so the recursive builds reuse
+    the tables _sieved shares between windows (for limit <= 4, where that
+    power is not below limit, the table of sqrt(limit) itself).
+    """
     cached = _BASE_PRIME_CACHE.get(limit)
     if cached is not None:
         return cached
     if limit < 2:
         primes: List[int] = []
     else:
-        flags = bytearray([1]) * (limit + 1)
-        flags[0:2] = b"\x00\x00"
-        for p in range(2, math.isqrt(limit) + 1):
-            if flags[p]:
-                flags[p * p :: p] = b"\x00" * len(range(p * p, limit + 1, p))
-        primes = [i for i in range(limit + 1) if flags[i]]
+        root = math.isqrt(limit)
+        base_limit = 1 << root.bit_length()
+        base_primes = small_primes(base_limit if base_limit < limit else root)
+        primes = list(_sieve_segment(2, limit, base_primes, False))
     _BASE_PRIME_CACHE[limit] = primes
     return primes
 

@@ -11,6 +11,7 @@ import pytest
 
 import primecantor
 from primecantor.cli import main
+from primecantor.dimension import proposition_bound
 
 SRC = os.path.dirname(os.path.dirname(primecantor.__file__))
 
@@ -169,14 +170,73 @@ def test_dimension_paper_simple_trend(capsys):
 
 
 def test_dimension_bounds(capsys):
+    # R is the largest exponent of the sequence: c = 2 gives R = 2.
     code, out, _ = run(
-        capsys, "dimension", "--bound", "theorem", "--p", "11", "--R", "2"
+        capsys, "dimension", "--bound", "theorem", "--p", "11", "--c", "2"
     )
     assert code == 0
-    assert abs(float(out.strip()) - 0.9295) < 1e-4
+    assert out == "0.9295200087\n"
     code, _, err = run(capsys, "dimension", "--bound", "theorem")
     assert code == 2
     assert "--p" in err
+
+
+def test_dimension_bound_needs_a_sequence(capsys):
+    code, out, err = run(capsys, "dimension", "--bound", "proposition", "--p", "11")
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err)
+    assert "--c" in err
+
+
+def test_dimension_theorem_bound_uses_the_sequence_r(capsys):
+    code, out, _ = run(
+        capsys, "dimension", "--preset", "paper-general", "--p", "1009",
+        "--c", "2", "--kmax", "20", "--out", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["meta"]["config"]["R"] == "2"
+    assert payload["theorem_bound"] == proposition_bound(1009, 2)
+    assert payload["theorem_bound"] >= payload["final_estimate"]
+
+
+def test_dimension_theorem_bound_only_for_seeded_levels(capsys):
+    code, out, _ = run(
+        capsys, "dimension", "--preset", "cantor-thirds", "--p", "11",
+        "--out", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert "theorem_bound" not in payload
+    assert payload["meta"]["config"]["R"] is None
+    code, out, _ = run(
+        capsys, "dimension", "--preset", "paper-simple", "--p", "11",
+        "--kmax", "6", "--out", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["theorem_bound"] == proposition_bound(11, 3)
+
+
+@pytest.mark.parametrize(
+    "flags", [("--R", "2"), ("--out", "text")], ids=["R", "out-text"]
+)
+def test_dimension_rejects_removed_flags(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["dimension", "--preset", "cantor-thirds", *flags])
+    assert exc.value.code == 2
+
+
+def test_dimension_p_is_seed(capsys):
+    outs = []
+    for flag in ("--p", "--seed"):
+        code, out, _ = run(
+            capsys, "dimension", "--preset", "paper-simple", flag, "11",
+            "--kmax", "8",
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_dimension_measured_preset(capsys):
@@ -201,6 +261,39 @@ def test_dimension_levels_file(tmp_path, capsys):
     final = [l for l in out.splitlines() if l.startswith("# final_estimate=")][0]
     want = 9 * log2 / (10 * log3 - log2)
     assert float(final.split("=")[1]) == pytest.approx(want, abs=1e-6)
+
+
+def test_dimension_levels_file_round_trip_keeps_source(tmp_path, capsys):
+    # The CSV's fourth column is the estimate, not a source.
+    argv = ("dimension", "--preset", "measured", "--seed", "2", "--c", "3",
+            "--depth", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "levels.csv"
+    path.write_text(out)
+    code, out, _ = run(
+        capsys, "dimension", "--levels-file", str(path), "--out", "json"
+    )
+    assert code == 0
+    levels = json.loads(out)["levels"]
+    assert [lvl["k"] for lvl in levels] == [2, 3]
+    assert {lvl["source"] for lvl in levels} == {"measured"}
+
+
+def test_dimension_levels_file_source_column(tmp_path, capsys):
+    path = tmp_path / "levels.csv"
+    log2, log3 = math.log(2), math.log(3)
+    path.write_text(
+        "k,log_m,log_eps,source\n"
+        f"1,{log2},{-log3},analytic\n2,{log2},{-2 * log3}\n"
+        f"3,{log2},{-3 * log3},measured\n"
+    )
+    code, out, _ = run(
+        capsys, "dimension", "--levels-file", str(path), "--out", "json"
+    )
+    assert code == 0
+    levels = json.loads(out)["levels"]
+    assert [lvl["source"] for lvl in levels] == ["analytic", "measured", "measured"]
 
 
 def test_survey_gamma_rows(capsys):
@@ -313,13 +406,14 @@ def test_errors_exit_with_one_line(capsys, argv, want):
 
 @pytest.mark.parametrize(
     "row",
-    [None, "2,0.69,not-a-float", "2,0.69", "2,nan,-5.0", "2,0.69,inf"],
-    ids=["missing-file", "bad-float", "short-row", "nan", "inf"],
+    [None, "2,0.69,not-a-float", "2,0.69", "2,nan,-5.0", "2,0.69,inf",
+     "2,0.69,-2.2,0.505928607"],
+    ids=["missing-file", "bad-float", "short-row", "nan", "inf", "bad-source"],
 )
 def test_dimension_levels_file_errors(tmp_path, capsys, row):
     path = tmp_path / "levels.csv"
     if row is not None:
-        path.write_text(f"k,log_m,log_eps\n1,0.69,-1.1\n{row}\n")
+        path.write_text(f"k,log_m,log_eps,source\n1,0.69,-1.1\n{row}\n")
     code, out, err = run(capsys, "dimension", "--levels-file", str(path))
     assert code == 2
     assert out == ""

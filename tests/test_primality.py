@@ -79,6 +79,13 @@ def test_small_primes_counts():
     assert small_primes(2) == [2]
 
 
+def test_small_primes_matches_sympy():
+    primality._BASE_PRIME_CACHE.clear()
+    limits = [2**j for j in range(21)] + [10**6]
+    for limit in limits:
+        assert small_primes(limit) == list(primerange(limit + 1)), limit
+
+
 def test_primes_in_range_examples():
     assert primes_in_range(8, 26) == [11, 13, 17, 19, 23]
     assert primes_in_range(24, 28) == []
