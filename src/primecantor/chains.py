@@ -16,7 +16,6 @@ from typing import List, Literal, Optional, Sequence, Tuple
 from . import primality
 from .certified import Rational, pow_ceil, scaled_pow
 from .errors import ResourceBudgetError
-from .primality import SieveConfig, DEFAULT_SIEVE
 
 Policy = Literal["full", "counting"]
 
@@ -116,14 +115,10 @@ def counting_subinterval(a: int, c: Rational) -> Tuple[int, int]:
     return pow_ceil(a, c), scaled_pow(a, c - 1, a + 1)[0]
 
 
-def successors(
-    chain: PrimeChain,
-    policy: Policy = "full",
-    sieve_config: SieveConfig = DEFAULT_SIEVE,
-) -> List[int]:
+def successors(chain: PrimeChain, policy: Policy = "full") -> List[int]:
     """All primes extending the chain, ascending, under the given policy."""
     lo, hi = _successor_interval(chain.last, chain.next_exponent(), policy)
-    return primality.primes_in_range(lo, hi, sieve_config)
+    return primality.primes_in_range(lo, hi)
 
 
 def _successor_interval(a: int, c: Fraction, policy: Policy) -> Tuple[int, int]:
@@ -174,7 +169,6 @@ def enumerate_tree(
     policy: Policy = "full",
     node_budget: int = 1_000_000,
     count_leaves: bool = False,
-    sieve_config: SieveConfig = DEFAULT_SIEVE,
 ) -> TreeNode:
     """Materialize the construction tree through ``depth`` expansions.
 
@@ -199,12 +193,10 @@ def enumerate_tree(
             node.label, exponents.c(node.level + 1), policy
         )
         if remaining == 0:
-            node.branching_total = primality.count_primes_in_range(
-                lo, hi, sieve_config
-            )
+            node.branching_total = primality.count_primes_in_range(lo, hi)
             node.truncated = node.branching_total > 0
             return
-        succ = primality.primes_in_range(lo, hi, sieve_config)
+        succ = primality.primes_in_range(lo, hi)
         node.branching_total = len(succ)
         kept = succ if branch_cap is None else succ[:branch_cap]
         node.truncated = len(kept) < len(succ)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -35,21 +34,6 @@ def _metadata(settings: dict) -> dict:
         "rng_seed": primality.RNG_SEED,
         "pp_threshold": str(primality.DETERMINISTIC_LIMIT),
     }
-
-
-def _sieve_config() -> primality.SieveConfig:
-    budget = os.environ.get("PRIMECANTOR_WIDTH_LIMIT")
-    if not budget:
-        return primality.DEFAULT_SIEVE
-    try:
-        width_limit = int(budget)
-        if width_limit < 1:
-            raise ValueError
-    except ValueError:
-        raise ValueError(
-            f"PRIMECANTOR_WIDTH_LIMIT must be a positive integer, got {budget!r}"
-        ) from None
-    return primality.SieveConfig(width_limit=width_limit)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -142,7 +126,6 @@ def cmd_tree(args) -> int:
         policy=args.policy,
         node_budget=args.node_budget,
         count_leaves=args.count_leaves,
-        sieve_config=_sieve_config(),
     )
     for node in root.walk():
         pp = primality.is_probable_only(node.label)
@@ -212,6 +195,10 @@ def _dimension_exponents(args) -> Optional[chains.ExponentSequence]:
         what = "--bound" if args.bound else f"the {args.preset} preset"
         raise ValueError(f"--seed (or --p) is required for {what}")
     if args.preset == "paper-simple" and not args.bound:
+        if args.c is not None or args.c_seq or args.c_tail is not None:
+            raise ValueError(
+                "the paper-simple preset fixes c = 3; drop --c, --c-seq and --c-tail"
+            )
         return chains.ExponentSequence.constant(3)
     return _exponents_from_args(args)
 
@@ -242,10 +229,7 @@ def _levels_from_args(args, exponents) -> List[dimension.LevelStats]:
             theta=exponents.theta, R=exponents.R,
         )
         return dimension.paper_levels_general(params, exponents, args.kmax)
-    tree = chains.enumerate_tree(
-        args.seed, exponents, args.depth, policy="full",
-        sieve_config=_sieve_config(),
-    )
+    tree = chains.enumerate_tree(args.seed, exponents, args.depth, policy="full")
     return dimension.measured_levels(tree, exponents)
 
 
@@ -277,14 +261,13 @@ def _read_levels_file(path: str) -> List[dimension.LevelStats]:
 
 
 def cmd_survey(args) -> int:
-    cfg = _sieve_config()
     if args.mode == "gamma":
-        records = survey.gamma_survey(args.x, args.gamma, cfg)
+        records = survey.gamma_survey(args.x, args.gamma)
         print(survey.CSV_HEADER)
         for record in records:
             print(record.csv_row())
     else:
-        total, good, fraction = survey.matomaki_fraction(args.X, args.c, args.d, cfg)
+        total, good, fraction = survey.matomaki_fraction(args.X, args.c, args.d)
         print("X,c,d_threshold,total,good,fraction")
         print(f"{args.X},{args.c},{args.d},{total},{good},{fraction:.6f}")
     return 0
@@ -358,8 +341,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     Library failures (PrimeCantorError) exit 1; invalid input (ValueError,
     such as a composite seed or a malformed levels file) and unreadable
     files (OSError) exit 2.  Either way stderr gets one ``error:`` line.
+    CPython's cap on int-to-str digits is lifted for the run, since
+    ``--digits`` may ask for more, and restored on return.
     """
     args = build_parser().parse_args(argv)
+    str_digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if str_digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except PrimeCantorError as exc:
@@ -368,6 +356,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if str_digits is not None:
+            sys.set_int_max_str_digits(str_digits)
 
 
 if __name__ == "__main__":

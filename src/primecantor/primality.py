@@ -4,13 +4,16 @@ Primality is deterministic below ``DETERMINISTIC_LIMIT`` (a known exact
 Miller-Rabin witness set) and strong-probable beyond it: a Baillie-PSW style
 combination of a strong base-2 test and a strong Lucas test, plus
 ``EXTRA_ROUNDS`` Miller-Rabin rounds whose bases are derived from the fixed
-recorded seed ``RNG_SEED``.  All functions are pure; the only shared state
-is a lazily built read-only table of small base primes.
+recorded seed ``RNG_SEED``.  Listing and counting read their width budget
+from ``PRIMECANTOR_WIDTH_LIMIT`` at each call (default
+``DEFAULT_SIEVE.width_limit``); besides that, the only shared state is a
+lazily built read-only table of small base primes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass
 from itertools import compress
@@ -32,7 +35,7 @@ RNG_SEED = 20240229
 
 @dataclass(frozen=True)
 class SieveConfig:
-    """Work and memory budget for interval enumeration."""
+    """Work and memory budget for interval enumeration (DEFAULT_SIEVE only)."""
 
     base_prime_limit: int = 1_000_000
     width_limit: int = 200_000_000
@@ -238,42 +241,46 @@ def _sieved(lo: int, hi: int, base_limit: int) -> Iterator[int]:
         yield from _sieve_segment(start, end, base_primes, need_check)
 
 
-def iter_primes_in_range(
-    lo: int,
-    hi: int,
-    sieve_config: SieveConfig = DEFAULT_SIEVE,
-) -> Iterator[int]:
+def _width_limit() -> int:
+    """The width budget: PRIMECANTOR_WIDTH_LIMIT if set, else the default."""
+    budget = os.environ.get("PRIMECANTOR_WIDTH_LIMIT")
+    if not budget:
+        return DEFAULT_SIEVE.width_limit
+    try:
+        width_limit = int(budget)
+        if width_limit < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"PRIMECANTOR_WIDTH_LIMIT must be a positive integer, got {budget!r}"
+        ) from None
+    return width_limit
+
+
+def iter_primes_in_range(lo: int, hi: int) -> Iterator[int]:
     """Ascending primes p with lo <= p <= hi, lazily.
 
-    Raises ValueError when lo > hi and RangeTooLargeError when the width
-    exceeds the sieve budget.
+    Raises ValueError when lo > hi or PRIMECANTOR_WIDTH_LIMIT is invalid,
+    and RangeTooLargeError when the width exceeds the budget.
     """
     if lo > hi:
         raise ValueError(f"prime enumeration requires lo <= hi, got [{lo}, {hi}]")
-    if hi - lo + 1 > sieve_config.width_limit:
+    width_limit = _width_limit()
+    if hi - lo + 1 > width_limit:
         raise RangeTooLargeError(
-            f"interval width {hi - lo + 1} exceeds budget "
-            f"{sieve_config.width_limit}"
+            f"interval width {hi - lo + 1} exceeds budget {width_limit}"
         )
-    yield from _sieved(lo, hi, sieve_config.base_prime_limit)
+    yield from _sieved(lo, hi, DEFAULT_SIEVE.base_prime_limit)
 
 
-def primes_in_range(
-    lo: int,
-    hi: int,
-    sieve_config: SieveConfig = DEFAULT_SIEVE,
-) -> List[int]:
+def primes_in_range(lo: int, hi: int) -> List[int]:
     """Exactly the primes in [lo, hi], ascending."""
-    return list(iter_primes_in_range(lo, hi, sieve_config))
+    return list(iter_primes_in_range(lo, hi))
 
 
-def count_primes_in_range(
-    lo: int,
-    hi: int,
-    sieve_config: SieveConfig = DEFAULT_SIEVE,
-) -> int:
+def count_primes_in_range(lo: int, hi: int) -> int:
     """len(primes_in_range(lo, hi)) without materializing the list."""
-    return sum(1 for _ in iter_primes_in_range(lo, hi, sieve_config))
+    return sum(1 for _ in iter_primes_in_range(lo, hi))
 
 
 def first_prime_in_range(lo: int, hi: int) -> int:

@@ -18,7 +18,6 @@ from . import primality
 from .certified import Rational, scaled_pow
 from .chains import counting_subinterval
 from .errors import EmptyCensusError
-from .primality import SieveConfig, DEFAULT_SIEVE
 
 
 @dataclass(frozen=True)
@@ -41,19 +40,15 @@ class SurveyRecord:
 CSV_HEADER = "anchor,lo,hi,count,density_ratio"
 
 
-def _gamma_record(x: int, gamma: Fraction, sieve_config: SieveConfig) -> SurveyRecord:
+def _gamma_record(x: int, gamma: Fraction) -> SurveyRecord:
     length = scaled_pow(x, gamma)[0]
     lo, hi = x, x + length
-    count = primality.count_primes_in_range(lo, hi, sieve_config)
+    count = primality.count_primes_in_range(lo, hi)
     ratio = count * math.log(x) / math.exp(float(gamma) * math.log(x))
     return SurveyRecord(x, lo, hi, count, ratio)
 
 
-def gamma_survey(
-    x_values: Sequence[int],
-    gamma: Rational,
-    sieve_config: SieveConfig = DEFAULT_SIEVE,
-) -> List[SurveyRecord]:
+def gamma_survey(x_values: Sequence[int], gamma: Rational) -> List[SurveyRecord]:
     """Count primes in [x, x + floor(x**gamma)] for each anchor x.
 
     density_ratio = count * ln x / x**gamma, the empirical counterpart of
@@ -66,7 +61,7 @@ def gamma_survey(
     for x in x_values:
         if x < 2:
             raise ValueError("anchors must be >= 2")
-    return [_gamma_record(x, gamma, sieve_config) for x in x_values]
+    return [_gamma_record(x, gamma) for x in x_values]
 
 
 def _anchor_upper_bound(X: int, c: Fraction) -> int:
@@ -75,10 +70,7 @@ def _anchor_upper_bound(X: int, c: Fraction) -> int:
 
 
 def matomaki_fraction(
-    X: int,
-    c: Rational,
-    d_threshold: float,
-    sieve_config: SieveConfig = DEFAULT_SIEVE,
+    X: int, c: Rational, d_threshold: float
 ) -> Tuple[int, int, float]:
     """Fraction of anchor primes whose counting window is prime-rich.
 
@@ -95,21 +87,19 @@ def matomaki_fraction(
         raise ValueError("c must be >= 2")
     if not 0 <= d_threshold < 1:
         raise ValueError("d_threshold must lie in [0, 1)")
-    anchors = primality.primes_in_range(X, _anchor_upper_bound(X, c), sieve_config)
+    anchors = primality.primes_in_range(X, _anchor_upper_bound(X, c))
     if not anchors:
         raise EmptyCensusError(
             f"no primes in [{X}, (3/2)**(1/{c}) * {X}]"
         )
     total = len(anchors)
-    good = sum(_window_is_good(p, c, d_threshold, sieve_config) for p in anchors)
+    good = sum(_window_is_good(p, c, d_threshold) for p in anchors)
     return total, good, good / total
 
 
-def _window_is_good(
-    p: int, c: Fraction, d_threshold: float, sieve_config: SieveConfig
-) -> bool:
+def _window_is_good(p: int, c: Fraction, d_threshold: float) -> bool:
     lo, hi = counting_subinterval(p, c)
-    count = primality.count_primes_in_range(lo, hi, sieve_config)
+    count = primality.count_primes_in_range(lo, hi)
     c_f = float(c)
     expected = math.exp((c_f - 1.0) * math.log(p)) / (c_f * math.log(p))
     return count > d_threshold * expected

@@ -11,7 +11,6 @@ from primecantor.errors import NoPrimeInIntervalError, RangeTooLargeError
 from primecantor.primality import (
     DEFAULT_SIEVE,
     DETERMINISTIC_LIMIT,
-    SieveConfig,
     count_primes_in_range,
     first_prime_in_range,
     is_prime,
@@ -99,12 +98,27 @@ def test_primes_in_range_rejects_bad_bounds():
         count_primes_in_range(10, 5)
 
 
-def test_primes_in_range_width_budget():
-    tight = SieveConfig(width_limit=10)
+def test_primes_in_range_width_budget(monkeypatch):
+    monkeypatch.setenv("PRIMECANTOR_WIDTH_LIMIT", "10")
     with pytest.raises(RangeTooLargeError):
-        primes_in_range(0, 100, tight)
+        primes_in_range(0, 100)
     with pytest.raises(RangeTooLargeError):
-        count_primes_in_range(0, 100, tight)
+        count_primes_in_range(0, 100)
+    assert primes_in_range(8, 17) == [11, 13, 17]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_width_budget_rejects_invalid_env_values(monkeypatch, value):
+    monkeypatch.setenv("PRIMECANTOR_WIDTH_LIMIT", value)
+    for fn in (primes_in_range, count_primes_in_range):
+        with pytest.raises(ValueError, match="PRIMECANTOR_WIDTH_LIMIT"):
+            fn(8, 26)
+
+
+def test_first_prime_search_has_no_width_budget(monkeypatch):
+    # [8, 26] holds 19 integers, more than the budget of 10.
+    monkeypatch.setenv("PRIMECANTOR_WIDTH_LIMIT", "10")
+    assert first_prime_in_range(8, 26) == 11
 
 
 def test_count_primes_in_range_examples():
