@@ -77,6 +77,10 @@ class PrimeChain:
     exponents: ExponentSequence
     elements: Tuple[int, ...]
 
+    def __post_init__(self):
+        if not self.elements:
+            raise ValueError("a prime chain needs at least one element")
+
     @classmethod
     def seed(cls, p: int, exponents: ExponentSequence) -> "PrimeChain":
         if not primality.is_prime(p):
@@ -153,7 +157,11 @@ class TreeNode:
     level: int
     children: List["TreeNode"] = field(default_factory=list)
     branching_total: int = 0
-    truncated: bool = False
+
+    @property
+    def truncated(self) -> bool:
+        """Whether some successor of this node is not among its children."""
+        return len(self.children) < self.branching_total
 
     def walk(self):
         yield self
@@ -194,12 +202,10 @@ def enumerate_tree(
         )
         if remaining == 0:
             node.branching_total = primality.count_primes_in_range(lo, hi)
-            node.truncated = node.branching_total > 0
             return
         succ = primality.primes_in_range(lo, hi)
         node.branching_total = len(succ)
         kept = succ if branch_cap is None else succ[:branch_cap]
-        node.truncated = len(kept) < len(succ)
         budget[0] += len(kept)
         if budget[0] > node_budget:
             raise ResourceBudgetError(

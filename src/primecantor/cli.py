@@ -137,14 +137,10 @@ def cmd_tree(args) -> int:
 
 
 def cmd_dimension(args) -> int:
-    exponents = _dimension_exponents(args)
-    # The levels come first, so that a bad seed fails with their message.
-    levels = None if args.bound else _levels_from_args(args, exponents)
-    # The theorem and proposition bounds share one closed form.
-    bound = None if exponents is None else dimension.proposition_bound(
-        args.seed, exponents.R
-    )
-    if args.bound:
+    levels, exponents = _dimension_source(args)
+    # Both bounds share one closed form; sources without a seed have none.
+    bound = exponents and dimension.proposition_bound(args.seed, exponents.R)
+    if levels is None:
         if args.out == "json":
             config = {"bound": args.bound, "p": args.seed, "R": str(exponents.R)}
             print(json.dumps({"meta": _metadata(config), "value": bound}, indent=2))
@@ -155,8 +151,13 @@ def cmd_dimension(args) -> int:
     profile, liminf_proxy = dimension.falconer_profile(levels)
     by_k = {k: est for k, est in profile}
     if args.out == "json":
+        config = {
+            "preset": args.preset, "kmax": args.kmax, "p": args.seed,
+            "delta": args.delta, "d1": args.d1, "Q": args.Q, "L": args.L,
+            "R": None if exponents is None else str(exponents.R),
+        }
         payload = {
-            "meta": _metadata(_dimension_config(args, exponents)),
+            "meta": _metadata(config),
             "levels": [
                 {
                     "k": s.k,
@@ -184,53 +185,43 @@ def cmd_dimension(args) -> int:
     return 0
 
 
-def _dimension_exponents(args) -> Optional[chains.ExponentSequence]:
-    """The exponent sequence of levels grown from --seed, None for the rest."""
-    if not args.bound:
-        if args.levels_file or args.preset == "cantor-thirds":
-            return None
-        if args.preset is None:
-            raise ValueError("one of --preset, --levels-file or --bound is required")
+def _dimension_source(args):
+    """(levels, exponents) of the one level source, flags checked first; levels
+    is None for --bound, exponents is None for cantor-thirds and levels files."""
+    if sum(map(bool, (args.preset, args.levels_file, args.bound))) != 1:
+        raise ValueError("give exactly one of --preset, --levels-file or --bound")
+    exponent_flags = args.c is not None or args.c_seq or args.c_tail is not None
+    if args.levels_file or args.preset == "cantor-thirds":
+        if args.seed is not None or exponent_flags:
+            raise ValueError(
+                "cantor-thirds and --levels-file take no --seed/--p, --c, "
+                "--c-seq or --c-tail"
+            )
+        if args.levels_file:
+            return _read_levels_file(args.levels_file), None
+        return dimension.middle_thirds_levels(args.kmax), None
     if not args.seed:
         what = "--bound" if args.bound else f"the {args.preset} preset"
         raise ValueError(f"--seed (or --p) is required for {what}")
-    if args.preset == "paper-simple" and not args.bound:
-        if args.c is not None or args.c_seq or args.c_tail is not None:
+    if args.preset == "paper-simple":
+        if exponent_flags:
             raise ValueError(
                 "the paper-simple preset fixes c = 3; drop --c, --c-seq and --c-tail"
             )
-        return chains.ExponentSequence.constant(3)
-    return _exponents_from_args(args)
-
-
-def _dimension_config(args, exponents: Optional[chains.ExponentSequence]) -> dict:
-    return {
-        "preset": args.preset,
-        "kmax": args.kmax,
-        "p": args.seed,
-        "delta": args.delta,
-        "d1": args.d1,
-        "Q": args.Q,
-        "L": args.L,
-        "R": None if exponents is None else str(exponents.R),
-    }
-
-
-def _levels_from_args(args, exponents) -> List[dimension.LevelStats]:
-    if args.levels_file:
-        return _read_levels_file(args.levels_file)
-    if args.preset == "cantor-thirds":
-        return dimension.middle_thirds_levels(args.kmax)
-    if args.preset == "paper-simple":
-        return dimension.paper_levels_simple(args.seed, args.d1, args.delta, args.kmax)
-    if args.preset == "paper-general":
-        params = dimension.DimensionParams(
-            a1=args.seed, Q=args.Q, L=args.L,
-            theta=exponents.theta, R=exponents.R,
+        levels = dimension.paper_levels_simple(
+            args.seed, args.d1, args.delta, args.kmax
         )
-        return dimension.paper_levels_general(params, exponents, args.kmax)
-    tree = chains.enumerate_tree(args.seed, exponents, args.depth, policy="full")
-    return dimension.measured_levels(tree, exponents)
+        return levels, chains.ExponentSequence.constant(3)
+    exponents = _exponents_from_args(args)
+    if args.bound:
+        return None, exponents
+    if args.preset == "measured":
+        tree = chains.enumerate_tree(args.seed, exponents, args.depth, policy="full")
+        return dimension.measured_levels(tree, exponents), exponents
+    params = dimension.DimensionParams(
+        a1=args.seed, Q=args.Q, L=args.L, theta=exponents.theta, R=exponents.R
+    )
+    return dimension.paper_levels_general(params, exponents, args.kmax), exponents
 
 
 def _read_levels_file(path: str) -> List[dimension.LevelStats]:

@@ -37,8 +37,6 @@ def bracket_for_chain(
     slack per endpoint is below 1/8 of the enclosed width (and below
     target_width/4 when a target is given): digit decisions stay stable.
     """
-    if len(chain) == 0:
-        raise ValueError("bracket_for_chain requires a nonempty chain")
     e = 1 / chain.exponents.C(len(chain))
     a = chain.last
 
@@ -78,8 +76,6 @@ def certified_prefix(chain: PrimeChain, limit: int) -> Tuple[int, str]:
     """
     if limit < 1:
         raise ValueError("digit count must be positive")
-    if len(chain) == 0:
-        raise ValueError("digits requires a nonempty chain")
     e = 1 / chain.exponents.C(len(chain))
     a = chain.last
 
@@ -145,8 +141,6 @@ def verify_representation(chain: PrimeChain) -> RepresentationReport:
     a_j by integer comparison (no floating point); chained together these
     imply the floor identity for every constant in the level interval.
     """
-    if len(chain) == 0:
-        raise ValueError("verify_representation requires a nonempty chain")
     checks: List[LevelCheck] = []
     for j, a in enumerate(chain.elements, start=1):
         if j == 1:

@@ -123,6 +123,11 @@ def test_extend_greedy_square_case():
     assert chain.elements == (2, 5, 29)
 
 
+def test_prime_chain_rejects_no_elements():
+    with pytest.raises(ValueError):
+        PrimeChain(ExponentSequence.constant(3), ())
+
+
 def test_extend_greedy_zero_steps():
     es = ExponentSequence.constant(3)
     chain = PrimeChain.seed(5, es)
@@ -180,20 +185,26 @@ def test_enumerate_tree_budget():
 
 def test_tree_invariants():
     # Each node's children are the successors of the chain along its root
-    # path, so a non-constant sequence checks that level k expands with
-    # c_{k+1}.
-    def check(node, chain):
+    # path under the tree's policy, inside that policy's window, so a
+    # non-constant sequence checks that level k expands with c_{k+1}.
+    windows = {"full": admissible_interval, "counting": counting_subinterval}
+
+    def check(node, chain, policy):
         assert (node.label, node.level) == (chain.last, len(chain))
         labels = [c.label for c in node.children]
         if node.level <= 2:
-            assert labels == successors(chain)
+            assert labels == successors(chain, policy)
+            lo, hi = windows[policy](node.label, chain.next_exponent())
+            assert all(lo <= p <= hi for p in labels)
             assert node.branching_total == len(labels) and not node.truncated
         else:
             assert labels == [] and node.branching_total == 0
         for child in node.children:
-            check(child, chain.extended(child.label))
+            check(child, chain.extended(child.label), policy)
 
-    for seed, es in [(3, ExponentSequence.constant(2)),
-                     (2, ExponentSequence.of([3, Fraction(5, 2)], 2))]:
-        check(enumerate_tree(seed, es, 2), PrimeChain.seed(seed, es))
+    for seed, es, policy in [(3, ExponentSequence.constant(2), "full"),
+                             (2, ExponentSequence.of([3, Fraction(5, 2)], 2), "full"),
+                             (2, ExponentSequence.constant(3), "counting")]:
+        root = enumerate_tree(seed, es, 2, policy=policy)
+        check(root, PrimeChain.seed(seed, es), policy)
 

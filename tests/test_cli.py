@@ -10,8 +10,10 @@ import sys
 import pytest
 
 import primecantor
+from primecantor.chains import admissible_interval
 from primecantor.cli import main
 from primecantor.dimension import proposition_bound
+from primecantor.primality import primes_in_range
 
 SRC = os.path.dirname(os.path.dirname(primecantor.__file__))
 
@@ -128,6 +130,20 @@ def test_tree_cap(capsys):
     assert lines[0].split(",")[2] == "2"
 
 
+def test_tree_count_leaves(capsys):
+    code, out, _ = run(
+        capsys, "tree", "--seed", "2", "--c", "3", "--depth", "1", "--count-leaves"
+    )
+    assert code == 0
+    root, *leaves = [line.split(",") for line in out.splitlines()]
+    assert root == ["0", "2", "5", "0", "0"]
+    assert [leaf[1] for leaf in leaves] == ["11", "13", "17", "19", "23"]
+    for leaf in leaves:
+        lo, hi = admissible_interval(int(leaf[1]), 3)
+        assert int(leaf[2]) == len(primes_in_range(lo, hi)) > 0
+        assert leaf[3] == "1"
+
+
 HEAD_TAIL = ("--seed", "2", "--c-seq", "3,5/2", "--c-tail", "2", "--depth", "2")
 
 
@@ -215,8 +231,7 @@ def test_dimension_theorem_bound_uses_the_sequence_r(capsys):
 
 def test_dimension_theorem_bound_only_for_seeded_levels(capsys):
     code, out, _ = run(
-        capsys, "dimension", "--preset", "cantor-thirds", "--p", "11",
-        "--out", "json",
+        capsys, "dimension", "--preset", "cantor-thirds", "--out", "json"
     )
     assert code == 0
     payload = json.loads(out)
@@ -228,6 +243,32 @@ def test_dimension_theorem_bound_only_for_seeded_levels(capsys):
     )
     assert code == 0
     assert json.loads(out)["theorem_bound"] == proposition_bound(11, 3)
+
+
+LEVELS = object()  # stands for the path of a valid levels file
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--preset", "cantor-thirds", "--c", "2"),
+        ("--preset", "cantor-thirds", "--seed", "11"),
+        ("--levels-file", LEVELS, "--c", "2"),
+        ("--preset", "measured", "--bound", "theorem", "--seed", "11", "--c", "2"),
+        ("--preset", "cantor-thirds", "--levels-file", LEVELS),
+    ],
+    ids=["cantor-thirds-c", "cantor-thirds-seed", "levels-file-c",
+         "preset-and-bound", "preset-and-levels-file"],
+)
+def test_dimension_rejects_flags_its_source_ignores(tmp_path, capsys, flags):
+    path = tmp_path / "levels.csv"
+    path.write_text("k,log_m,log_eps\n1,0.7,-1.1\n2,0.7,-2.2\n")
+    assert run(capsys, "dimension", "--levels-file", str(path))[0] == 0
+    argv = [str(path) if flag is LEVELS else flag for flag in flags]
+    code, out, err = run(capsys, "dimension", *argv)
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err)
 
 
 @pytest.mark.parametrize(
@@ -415,6 +456,8 @@ def assert_one_error_line(err):
         (("dimension", "--preset", "paper-simple", "--p", "11", "--c", "2",
           "--out", "json"), 2),
         (("dimension", "--preset", "measured", "--c", "3"), 2),
+        (("tree", "--seed", "2", "--c", "3", "--depth", "2",
+          "--node-budget", "10"), 1),
         # delta outside [0, 1) would give a "dimension" above 1 (-0.5) or no
         # estimate at all (1.5).
         (("dimension", "--preset", "paper-simple", "--p", "11",
@@ -424,7 +467,7 @@ def assert_one_error_line(err):
     ],
     ids=["no-prime-in-interval", "measured-depth0", "no-exponent",
          "digits-below-integer-part", "no-preset", "no-p",
-         "paper-simple-fixes-c", "no-seed",
+         "paper-simple-fixes-c", "no-seed", "tree-node-budget",
          "negative-delta", "delta-above-one"],
 )
 def test_errors_exit_with_one_line(capsys, argv, want):
