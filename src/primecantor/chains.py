@@ -186,34 +186,31 @@ def enumerate_tree(
     the deepest level stay unexpanded with branching_total 0 unless
     ``count_leaves`` asks for their successor counts too (which costs one
     more level of sieving).
+
+    The tree grows one level per pass, sieving the level's intervals widest
+    first: an interval over the width budget fails before any is sieved.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if branch_cap is not None and branch_cap < 1:
         raise ValueError("branch_cap must be positive")
+    if node_budget < 1:
+        raise ValueError("node_budget must be positive")
     root = TreeNode(PrimeChain.seed(seed, exponents).last, 1)
-    budget = [1]
-
-    def expand(node: TreeNode, remaining: int):
-        if remaining == 0 and not count_leaves:
-            return
-        lo, hi = _successor_interval(
-            node.label, exponents.c(node.level + 1), policy
-        )
-        if remaining == 0:
-            node.branching_total = primality.count_primes_in_range(lo, hi)
-            return
-        succ = primality.primes_in_range(lo, hi)
-        node.branching_total = len(succ)
-        kept = succ if branch_cap is None else succ[:branch_cap]
-        budget[0] += len(kept)
-        if budget[0] > node_budget:
-            raise ResourceBudgetError(
-                f"tree node budget {node_budget} exceeded"
-            )
-        node.children = [TreeNode(p, node.level + 1) for p in kept]
-        for child in node.children:
-            expand(child, remaining - 1)
-
-    expand(root, depth)
+    level, size = [root], 1
+    for k in range(2, depth + count_leaves + 2):  # level k: the successors of ``level``
+        leaves = k == depth + 2
+        sieve = primality.count_primes_in_range if leaves else primality.primes_in_range
+        spans = [_successor_interval(n.label, exponents.c(k), policy) for n in level]
+        found = {}
+        for _, i in sorted((lo - hi, i) for i, (lo, hi) in enumerate(spans)):
+            found[i] = sieve(*spans[i])
+            size += 0 if leaves else len(found[i][:branch_cap])
+            if size > node_budget:
+                raise ResourceBudgetError(f"tree node budget {node_budget} exceeded")
+        for i, node in enumerate(level):
+            node.branching_total = found[i] if leaves else len(found[i])
+            if not leaves:
+                node.children = [TreeNode(p, k) for p in found[i][:branch_cap]]
+        level = [child for node in level for child in node.children]
     return root

@@ -45,9 +45,8 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _exponents_from_args(args) -> chains.ExponentSequence:
     if args.c_seq:
-        head = [_parse_fraction(part) for part in args.c_seq.split(",")]
-        tail = args.c_tail if args.c_tail is not None else head[-1]
-        return chains.ExponentSequence.of(head, tail)
+        tail = args.c_tail if args.c_tail is not None else args.c_seq[-1]
+        return chains.ExponentSequence.of(args.c_seq, tail)
     if args.c is None:
         raise ValueError("either --c or --c-seq is required")
     return chains.ExponentSequence.constant(args.c)
@@ -59,7 +58,7 @@ def _add_exponent_flags(parser: argparse.ArgumentParser):
         help="constant exponent, e.g. 3 or 5/2",
     )
     parser.add_argument(
-        "--c-seq", default=None,
+        "--c-seq", type=lambda text: [_parse_fraction(c) for c in text.split(",")],
         help="comma-separated explicit head, e.g. 2,5/2,3",
     )
     parser.add_argument(
@@ -203,6 +202,8 @@ def _dimension_source(args):
     if not args.seed:
         what = "--bound" if args.bound else f"the {args.preset} preset"
         raise ValueError(f"--seed (or --p) is required for {what}")
+    if not primality.is_prime(args.seed):
+        raise ValueError(f"seed {args.seed} is not prime")
     if args.preset == "paper-simple":
         if exponent_flags:
             raise ValueError(

@@ -72,8 +72,9 @@ def _index_levels(levels: Sequence[LevelStats]) -> Dict[int, LevelStats]:
 
 
 def falconer_estimate(levels: Sequence[LevelStats], k: int) -> float:
-    """The finite-k lower-bound ratio log(m_1...m_{k-1}) / -log(m_k eps_k).
+    """The finite-k ratio log(m_1...m_{k-1}) / -log(m_k eps_k).
 
+    Its liminf over k, not any one value, bounds the dimension from below.
     The supplied levels must form a contiguous run ending at k (analytic
     presets start at index 2, whose level-1 statistic the constructions do
     not define).  When k is the lowest supplied index there is no branching

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primecantor import primality
 from primecantor.chains import (
     ExponentSequence,
     PrimeChain,
@@ -15,7 +16,7 @@ from primecantor.chains import (
     successors,
 )
 from primecantor.constant import verify_representation
-from primecantor.errors import ResourceBudgetError
+from primecantor.errors import RangeTooLargeError, ResourceBudgetError
 from primecantor.primality import primes_in_range
 
 
@@ -181,6 +182,24 @@ def test_enumerate_tree_budget():
     es = ExponentSequence.constant(3)
     with pytest.raises(ResourceBudgetError):
         enumerate_tree(2, es, 2, node_budget=10)
+
+
+def test_enumerate_tree_over_budget_level_fails_before_sieving(monkeypatch):
+    # The leaves under 11, 13, 17, 19, 23 have widths 397, 547, 919, 1141
+    # and 1657, so a budget of 1000 must stop the counting pass at its first
+    # (widest) interval rather than after three completed counts.
+    monkeypatch.setenv("PRIMECANTOR_WIDTH_LIMIT", "1000")
+    counted = []
+    count = primality.count_primes_in_range
+
+    def counting(lo, hi):
+        counted.append(count(lo, hi))
+        return counted[-1]
+
+    monkeypatch.setattr(primality, "count_primes_in_range", counting)
+    with pytest.raises(RangeTooLargeError, match="width 1657"):
+        enumerate_tree(2, ExponentSequence.constant(3), 1, count_leaves=True)
+    assert counted == []
 
 
 def test_tree_invariants():

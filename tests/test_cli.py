@@ -456,8 +456,12 @@ def assert_one_error_line(err):
         (("dimension", "--preset", "paper-simple", "--p", "11", "--c", "2",
           "--out", "json"), 2),
         (("dimension", "--preset", "measured", "--c", "3"), 2),
+        (("dimension", "--preset", "paper-simple", "--p", "4"), 2),
+        (("dimension", "--preset", "paper-general", "--p", "4", "--c", "2"), 2),
+        (("dimension", "--bound", "proposition", "--p", "4", "--c", "2"), 2),
         (("tree", "--seed", "2", "--c", "3", "--depth", "2",
           "--node-budget", "10"), 1),
+        (("tree", "--seed", "2", "--c", "3", "--node-budget", "-5"), 2),
         # delta outside [0, 1) would give a "dimension" above 1 (-0.5) or no
         # estimate at all (1.5).
         (("dimension", "--preset", "paper-simple", "--p", "11",
@@ -467,7 +471,9 @@ def assert_one_error_line(err):
     ],
     ids=["no-prime-in-interval", "measured-depth0", "no-exponent",
          "digits-below-integer-part", "no-preset", "no-p",
-         "paper-simple-fixes-c", "no-seed", "tree-node-budget",
+         "paper-simple-fixes-c", "no-seed", "paper-simple-composite-seed",
+         "paper-general-composite-seed", "bound-composite-seed",
+         "tree-node-budget", "tree-negative-node-budget",
          "negative-delta", "delta-above-one"],
 )
 def test_errors_exit_with_one_line(capsys, argv, want):
@@ -475,6 +481,22 @@ def test_errors_exit_with_one_line(capsys, argv, want):
     assert code == want
     assert out == ""
     assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("head", ["3,x", "3,1/0"])
+@pytest.mark.parametrize(
+    "argv",
+    [("mills", "--seed", "2"), ("tree", "--seed", "2"),
+     ("dimension", "--preset", "measured", "--seed", "2")],
+    ids=["mills", "tree", "dimension"],
+)
+def test_malformed_c_seq_is_a_usage_error(capsys, argv, head):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--c-seq", head])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument --c-seq: not a rational: {head.split(',')[1]!r}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
