@@ -2,16 +2,19 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate, pairwise
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primecantor import dimension
 from primecantor.certified import root_enclosure
-from primecantor.chains import ExponentSequence, enumerate_tree
+from primecantor.chains import ExponentSequence, TreeNode, enumerate_tree
 from primecantor.dimension import (
     DimensionParams,
     LevelStats,
     _certified_gap,
+    _min_sibling_gap,
     branching_growth_log,
     falconer_estimate,
     falconer_profile,
@@ -235,6 +238,55 @@ def test_certified_gap_matches_root_enclosures(a, d, big_c, guard, power):
 def test_certified_gap_rejects_an_empty_gap():
     with pytest.raises(UncertifiedGapError):
         _certified_gap(5, 5, Fraction(1, 4), 48)
+
+
+@st.composite
+def sibling_levels(draw):
+    """1-4 parents, each with 2-12 children; labels ascend across the level,
+    stay <= 10**12, and adjacent labels differ by at least 2."""
+    sizes = draw(st.lists(st.integers(2, 12), min_size=1, max_size=4))
+    steps = draw(st.lists(
+        st.one_of(st.integers(2, 20), st.integers(2, 10**9)),
+        min_size=sum(sizes) - 1, max_size=sum(sizes) - 1,
+    ))
+    labels = accumulate(steps, initial=draw(st.integers(2, 9 * 10**11)))
+    return [TreeNode(0, 1, [TreeNode(next(labels), 2) for _ in range(size)])
+            for size in sizes]
+
+
+@given(
+    sibling_levels(),
+    st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 9),
+                     Fraction(2, 5), Fraction(4, 27), Fraction(1)]),
+)
+@settings(max_examples=200, deadline=None)
+def test_min_sibling_gap_matches_every_pair(parents, e):
+    # One certified gap per label difference gives the per-pair minimum.
+    want = min(
+        _certified_gap(a + 1, b, e)
+        for parent in parents
+        for a, b in pairwise(child.label for child in parent.children)
+    )
+    assert _min_sibling_gap(parents, e) == want
+
+
+def test_measured_levels_certifies_one_gap_per_label_difference(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _certified_gap(*args)
+
+    monkeypatch.setattr(dimension, "_certified_gap", counted)
+    es = ExponentSequence.constant(3)
+    tree = enumerate_tree(2, es, 2)
+    measured_levels(tree, es)
+    pairs = [
+        (node.level, b - a)
+        for node in tree.walk()
+        for a, b in pairwise(child.label for child in node.children)
+    ]
+    assert len(calls) == len(set(pairs)) < len(pairs)
 
 
 def test_measured_feeds_estimator():
