@@ -6,8 +6,8 @@ combination of a strong base-2 test and a strong Lucas test, plus
 ``EXTRA_ROUNDS`` Miller-Rabin rounds whose bases are derived from the fixed
 recorded seed ``RNG_SEED``.  Listing and counting read their width budget
 from ``PRIMECANTOR_WIDTH_LIMIT`` at each call (default
-``DEFAULT_SIEVE.width_limit``); besides that, the only shared state is a
-lazily built read-only table of small base primes.
+``DEFAULT_SIEVE.width_limit``); besides that, the only shared state is one
+ascending table of base primes, grown in place by doubling as windows need it.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator, List
@@ -51,29 +52,27 @@ SEGMENT_SIZE = 1 << 18
 # survivor, so only there do more base primes pay for themselves.
 _FIRST_HIT_BASE_LIMIT = 1 << 14
 
-_BASE_PRIME_CACHE: dict[int, List[int]] = {}
+# Every prime <= _covered, ascending.  _covered starts at 4 and doubles; step
+# [c + 1, 2c] is struck by the primes up to sqrt(2c) that the table holds.
+_base_table: List[int] = [2, 3]
+_covered = 4
+
+
+def _base_primes(limit: int) -> List[int]:
+    """The shared table, first grown until it holds every prime <= limit."""
+    global _covered
+    while _covered < limit:
+        c = _covered
+        step = _sieve_segment(c + 1, 2 * c, _base_table, math.isqrt(2 * c), False)
+        _base_table.extend(step)
+        _covered = 2 * c
+    return _base_table
 
 
 def small_primes(limit: int) -> List[int]:
-    """All primes <= limit; cached per limit.
-
-    One _sieve_segment over [2, limit], struck with the cached table of
-    the next power of two above sqrt(limit), so the recursive builds reuse
-    the tables _sieved shares between windows (for limit <= 4, where that
-    power is not below limit, the table of sqrt(limit) itself).
-    """
-    cached = _BASE_PRIME_CACHE.get(limit)
-    if cached is not None:
-        return cached
-    if limit < 2:
-        primes: List[int] = []
-    else:
-        root = math.isqrt(limit)
-        base_limit = 1 << root.bit_length()
-        base_primes = small_primes(base_limit if base_limit < limit else root)
-        primes = list(_sieve_segment(2, limit, base_primes, False))
-    _BASE_PRIME_CACHE[limit] = primes
-    return primes
+    """All primes <= limit, in a new list the caller owns."""
+    table = _base_primes(limit)
+    return table[: bisect_right(table, limit)]
 
 
 def _miller_rabin_witness(n: int, a: int, d: int, s: int) -> bool:
@@ -203,16 +202,16 @@ def is_probable_only(n: int) -> bool:
 
 
 def _sieve_segment(
-    lo: int, hi: int, base_primes: List[int], need_check: bool
+    lo: int, hi: int, base_primes: List[int], stop: int, need_check: bool
 ) -> Iterator[int]:
-    """Yield primes in [lo, hi], 2 <= lo, after striking multiples of base_primes.
+    """Yield primes in [lo, hi], 2 <= lo, striking multiples of base_primes <= stop.
 
     When ``need_check`` the base primes do not reach sqrt(hi), so survivors
     are confirmed with is_prime.
     """
     flags = bytearray([1]) * (hi - lo + 1)
     for p in base_primes:
-        if p * p > hi:
+        if p > stop:
             break
         start = max(p * p, ((lo + p - 1) // p) * p)
         flags[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
@@ -223,22 +222,21 @@ def _sieve_segment(
 def _sieved(lo: int, hi: int, base_limit: int) -> Iterator[int]:
     """Ascending primes in [lo, hi], one SEGMENT_SIZE segment at a time.
 
-    Segments are struck with base primes up to min(sqrt(hi), base_limit),
-    with sqrt(hi) rounded up to a power of two so that nearby windows share
-    one cached table (_sieve_segment stops at p*p > hi anyway).  When the
-    base primes stop short of sqrt(hi), survivors are confirmed by is_prime,
-    which is how intervals between doubly-exponential chain bounds stay
-    reachable.
+    Every segment is struck with the shared table's primes up to
+    stop = min(sqrt(hi), base_limit).  When stop falls short of sqrt(hi),
+    survivors are confirmed by is_prime, which is how intervals between
+    doubly-exponential chain bounds stay reachable.
     """
     lo = max(lo, 2)
     if lo > hi:
         return
     root = math.isqrt(hi)
-    base_primes = small_primes(max(min(1 << root.bit_length(), base_limit), 3))
+    stop = min(root, base_limit)
+    base_primes = _base_primes(stop)
     need_check = root > base_limit
     for start in range(lo, hi + 1, SEGMENT_SIZE):
         end = min(start + SEGMENT_SIZE - 1, hi)
-        yield from _sieve_segment(start, end, base_primes, need_check)
+        yield from _sieve_segment(start, end, base_primes, stop, need_check)
 
 
 def _width_limit() -> int:

@@ -78,11 +78,25 @@ def test_small_primes_counts():
     assert small_primes(2) == [2]
 
 
-def test_small_primes_matches_sympy():
-    primality._BASE_PRIME_CACHE.clear()
+def _reset_base_table(monkeypatch):
+    """Give primality a fresh base-prime table; the test's end restores the old."""
+    monkeypatch.setattr(primality, "_base_table", [2, 3])
+    monkeypatch.setattr(primality, "_covered", 4)
+
+
+def test_small_primes_matches_sympy(monkeypatch):
+    _reset_base_table(monkeypatch)
     limits = [2**j for j in range(21)] + [10**6]
     for limit in limits:
         assert small_primes(limit) == list(primerange(limit + 1)), limit
+
+
+def test_small_primes_returns_a_list_the_caller_owns():
+    got = small_primes(128)
+    assert got is not small_primes(128)
+    got.clear()
+    assert small_primes(128) == list(primerange(129))
+    assert primes_in_range(9000, 9100) == list(primerange(9000, 9101))
 
 
 def test_primes_in_range_examples():
@@ -146,8 +160,8 @@ def test_sieve_fallback_far_window():
 
 
 def test_primes_in_range_matches_sympy_at_base_table_edges():
-    # isqrt(hi) on a power of two (2^j - 1, 2^j, 2^j + 1), where the cached
-    # table size steps, and on the base-prime limit and one past it, which
+    # isqrt(hi) on a power of two (2^j - 1, 2^j, 2^j + 1), where the shared
+    # table doubles, and on the base-prime limit and one past it, which
     # puts the window in the far regime where survivors need is_prime.
     limit = DEFAULT_SIEVE.base_prime_limit
     roots = [r for j in range(1, 20) for r in (2**j - 1, 2**j, 2**j + 1)]
@@ -160,16 +174,20 @@ def test_primes_in_range_matches_sympy_at_base_table_edges():
             assert count_primes_in_range(lo, hi) == len(want), (lo, hi)
 
 
-def test_base_prime_tables_are_shared_across_windows():
+def test_base_prime_tables_are_shared_across_windows(monkeypatch):
     # 200 windows whose isqrt(hi) = r runs from 2 to past the base-prime
-    # limit fall into at most 21 tables: one per power of two below the
-    # limit, plus the limit itself.
-    primality._BASE_PRIME_CACHE.clear()
+    # limit all strike from one table, grown in place, which holds no
+    # prime above twice the largest strike bound min(r, limit).
+    _reset_base_table(monkeypatch)
+    table = primality._base_table
+    limit = DEFAULT_SIEVE.base_prime_limit
     roots = [int(2 * 1.075**k) + k for k in range(200)]
-    assert roots[-1] > DEFAULT_SIEVE.base_prime_limit
+    assert roots[-1] > limit
     for r in roots:
         count_primes_in_range(r * r, r * r + min(r, 50))
-    assert len(primality._BASE_PRIME_CACHE) <= 21
+    assert primality._base_table is table
+    assert table == list(primerange(primality._covered + 1))
+    assert table[-1] <= 2 * min(roots[-1], limit)
 
 
 def test_first_prime_in_range():
@@ -233,6 +251,45 @@ def test_first_prime_matches_sympy_nextprime(kind):
         else:
             with pytest.raises(NoPrimeInIntervalError):
                 first_prime_in_range(lo, hi)
+
+
+_LIMIT = DEFAULT_SIEVE.base_prime_limit  # the listing's base-prime cap
+# isqrt(hi) on both sides of each cap, so windows strike with fewer base
+# primes than the table holds once an earlier call has grown it.
+ORDER_WINDOWS = _windows_below(
+    [_CAP**2 - 1, _CAP**2, (_CAP + 1) ** 2, _LIMIT**2 - 1, _LIMIT**2,
+     (_LIMIT + 1) ** 2 - 1, (_LIMIT + 1) ** 2],
+    widths=(0, 10, 300),
+)
+
+
+def _first_prime_or_none(lo, hi):
+    try:
+        return first_prime_in_range(lo, hi)
+    except NoPrimeInIntervalError:
+        return None
+
+
+# Each sieve entry point and what it returns given the primes of a window.
+SIEVES = {
+    "list": (primes_in_range, lambda want: want),
+    "count": (count_primes_in_range, len),
+    "first": (_first_prime_or_none, lambda want: want[0] if want else None),
+}
+
+
+@pytest.mark.parametrize("grown", [False, True], ids=["fresh", "grown"])
+@pytest.mark.parametrize("sieve", SIEVES)
+def test_sieve_results_do_not_depend_on_call_order(monkeypatch, sieve, grown):
+    fn, expect = SIEVES[sieve]
+    _reset_base_table(monkeypatch)
+    if grown:
+        primes_in_range(10**12, 10**12 + 100)
+        assert primality._base_table[-1] > _LIMIT
+    for lo, hi in ORDER_WINDOWS:
+        if not grown:
+            _reset_base_table(monkeypatch)
+        assert fn(lo, hi) == expect(list(primerange(lo, hi + 1))), (lo, hi)
 
 
 def test_first_prime_crosses_segments(monkeypatch):
