@@ -4,7 +4,14 @@ Primality is deterministic below ``DETERMINISTIC_LIMIT`` (a known exact
 Miller-Rabin witness set) and strong-probable beyond it: a Baillie-PSW style
 combination of a strong base-2 test and a strong Lucas test, plus
 ``EXTRA_ROUNDS`` Miller-Rabin rounds whose bases are derived from the fixed
-recorded seed ``RNG_SEED``.  Listing and counting read their width budget
+recorded seed ``RNG_SEED``.
+
+Listing, counting, the first-prime search and the growth of the base-prime
+table all go through one strike routine, ``_strike``, which flags the odd
+integers of a segment and strikes the odd multiples of the base primes; the
+prime 2 is added once by the callers.  A count is the number of set flags
+unless the base primes stop short of sqrt(hi), when the survivors are
+confirmed with ``is_prime``.  Listing and counting read their width budget
 from ``PRIMECANTOR_WIDTH_LIMIT`` at each call (default
 ``DEFAULT_SIEVE.width_limit``); besides that, the only shared state is one
 ascending table of base primes, grown in place by doubling as windows need it.
@@ -18,7 +25,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from .errors import NoPrimeInIntervalError, RangeTooLargeError
 
@@ -44,8 +51,12 @@ class SieveConfig:
 
 DEFAULT_SIEVE = SieveConfig()
 
-# Integers per sieved segment, for enumeration and first-hit search alike.
+# Odd integers per sieved segment (one flag byte each), for enumeration and
+# first-hit search alike, so a segment spans 2 * SEGMENT_SIZE integers.
 SEGMENT_SIZE = 1 << 18
+# Base primes whose first strike indices are computed in one comprehension;
+# chunks keep the scratch list small when the table holds 78k primes.
+_STRIKE_CHUNK = 2048
 # Base-prime cap of the first-hit search, below enumeration's
 # base_prime_limit of 10**6: a search that stops at its first prime tests
 # only the few survivors in front of it, while enumeration confirms every
@@ -63,8 +74,8 @@ def _base_primes(limit: int) -> List[int]:
     global _covered
     while _covered < limit:
         c = _covered
-        step = _sieve_segment(c + 1, 2 * c, _base_table, math.isqrt(2 * c), False)
-        _base_table.extend(step)
+        flags = _strike(c + 1, 2 * c, _base_table, math.isqrt(2 * c))
+        _base_table.extend(_survivors(c + 1, flags))
         _covered = 2 * c
     return _base_table
 
@@ -201,42 +212,78 @@ def is_probable_only(n: int) -> bool:
     return n >= DETERMINISTIC_LIMIT
 
 
-def _sieve_segment(
-    lo: int, hi: int, base_primes: List[int], stop: int, need_check: bool
-) -> Iterator[int]:
-    """Yield primes in [lo, hi], 2 <= lo, striking multiples of base_primes <= stop.
+def _strike(lo: int, hi: int, base_primes: List[int], stop: int) -> bytearray:
+    """Flags for the odd integers lo, lo + 2, ... <= hi, for odd lo >= 3.
 
-    When ``need_check`` the base primes do not reach sqrt(hi), so survivors
-    are confirmed with is_prime.
+    Flag i stands for lo + 2i and is cleared when an odd prime p <= stop
+    from the ascending base_primes divides it and lies below it.  The first
+    odd multiple of p at or after lo is lo + ((p - lo) mod 2p), an odd
+    multiple of p less than 2p past lo, so its index is ((p - lo) mod 2p) / 2.
+    These indices are computed for a chunk of primes at a time, and every
+    strike copies from one zero buffer; a prime of k or more, for k flags,
+    strikes at most one of them.
     """
-    flags = bytearray([1]) * (hi - lo + 1)
-    for p in base_primes:
-        if p > stop:
-            break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        flags[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
-    survivors = compress(range(lo, hi + 1), flags)
-    return filter(is_prime, survivors) if need_check else survivors
+    k = ((hi - lo) >> 1) + 1
+    flags = bytearray([1]) * k
+    zero = memoryview(bytes(k // 3 + 1))
+    end = bisect_right(base_primes, stop)
+    for j in range(1, end, _STRIKE_CHUNK):
+        chunk = base_primes[j : min(j + _STRIKE_CHUNK, end)]
+        starts = [(p - lo) % (p + p) >> 1 for p in chunk]
+        if chunk[-1] >= lo:
+            # A base prime inside the window is not struck: start at p * p.
+            starts = [max(i, (p * p - lo) >> 1) for p, i in zip(chunk, starts)]
+        for p, i in zip(chunk, starts):
+            if i < k:
+                if p < k:
+                    flags[i::p] = zero[: (k - 1 - i) // p + 1]
+                else:
+                    flags[i] = 0
+    return flags
 
 
-def _sieved(lo: int, hi: int, base_limit: int) -> Iterator[int]:
-    """Ascending primes in [lo, hi], one SEGMENT_SIZE segment at a time.
+def _sieved(lo: int, hi: int, base_limit: int) -> Iterator[Tuple[int, bytearray]]:
+    """(start, flags) per segment of the odd integers >= 3 in [lo, hi].
 
-    Every segment is struck with the shared table's primes up to
-    stop = min(sqrt(hi), base_limit).  When stop falls short of sqrt(hi),
-    survivors are confirmed by is_prime, which is how intervals between
-    doubly-exponential chain bounds stay reachable.
+    Flag i of a segment stands for start + 2i.  Every segment is struck by
+    _strike with the shared table's primes up to stop = min(sqrt(hi),
+    base_limit), so a set flag is a prime unless stop falls short of
+    sqrt(hi); callers then confirm survivors with is_prime, which is how
+    intervals between doubly-exponential chain bounds stay reachable.
+    The prime 2 has no flag; callers add it.
     """
-    lo = max(lo, 2)
+    lo = max(lo, 3) | 1
     if lo > hi:
         return
-    root = math.isqrt(hi)
-    stop = min(root, base_limit)
+    stop = min(math.isqrt(hi), base_limit)
     base_primes = _base_primes(stop)
-    need_check = root > base_limit
-    for start in range(lo, hi + 1, SEGMENT_SIZE):
-        end = min(start + SEGMENT_SIZE - 1, hi)
-        yield from _sieve_segment(start, end, base_primes, stop, need_check)
+    for start in range(lo, hi + 1, 2 * SEGMENT_SIZE):
+        end = min(start + 2 * SEGMENT_SIZE - 2, hi)
+        flags = _strike(start, end, base_primes, stop)
+        yield start, flags
+        # The caller is done with these flags; freeing them before the next
+        # strike keeps one segment's flags alive at a time.
+        flags.clear()
+
+
+def _survivors(start: int, flags: bytearray) -> Iterator[int]:
+    """The odd integers start + 2i whose flag i is set, ascending."""
+    return compress(range(start, start + 2 * len(flags), 2), flags)
+
+
+def _far(hi: int, base_limit: int) -> bool:
+    """True when base primes up to base_limit fall short of sqrt(hi)."""
+    return math.isqrt(max(hi, 0)) > base_limit
+
+
+def _primes(lo: int, hi: int, base_limit: int) -> Iterator[int]:
+    """Ascending primes in [lo, hi], read off the _sieved segments."""
+    if lo <= 2 <= hi:
+        yield 2
+    need_check = _far(hi, base_limit)
+    for start, flags in _sieved(lo, hi, base_limit):
+        survivors = _survivors(start, flags)
+        yield from filter(is_prime, survivors) if need_check else survivors
 
 
 def _width_limit() -> int:
@@ -255,12 +302,8 @@ def _width_limit() -> int:
     return width_limit
 
 
-def iter_primes_in_range(lo: int, hi: int) -> Iterator[int]:
-    """Ascending primes p with lo <= p <= hi, lazily.
-
-    Raises ValueError when lo > hi or PRIMECANTOR_WIDTH_LIMIT is invalid,
-    and RangeTooLargeError when the width exceeds the budget.
-    """
+def _check_window(lo: int, hi: int) -> None:
+    """Raise unless [lo, hi] is a nonempty window within the width budget."""
     if lo > hi:
         raise ValueError(f"prime enumeration requires lo <= hi, got [{lo}, {hi}]")
     width_limit = _width_limit()
@@ -268,7 +311,16 @@ def iter_primes_in_range(lo: int, hi: int) -> Iterator[int]:
         raise RangeTooLargeError(
             f"interval width {hi - lo + 1} exceeds budget {width_limit}"
         )
-    yield from _sieved(lo, hi, DEFAULT_SIEVE.base_prime_limit)
+
+
+def iter_primes_in_range(lo: int, hi: int) -> Iterator[int]:
+    """Ascending primes p with lo <= p <= hi, lazily.
+
+    Raises ValueError when lo > hi or PRIMECANTOR_WIDTH_LIMIT is invalid,
+    and RangeTooLargeError when the width exceeds the budget.
+    """
+    _check_window(lo, hi)
+    yield from _primes(lo, hi, DEFAULT_SIEVE.base_prime_limit)
 
 
 def primes_in_range(lo: int, hi: int) -> List[int]:
@@ -277,8 +329,22 @@ def primes_in_range(lo: int, hi: int) -> List[int]:
 
 
 def count_primes_in_range(lo: int, hi: int) -> int:
-    """len(primes_in_range(lo, hi)) without materializing the list."""
-    return sum(1 for _ in iter_primes_in_range(lo, hi))
+    """The number of primes in [lo, hi], read from the sieve flags.
+
+    Same checks and budget as primes_in_range.  Each segment's count is
+    its number of set flags; only in the far regime, where the base primes
+    stop short of sqrt(hi), are the survivors confirmed one by one.
+    """
+    _check_window(lo, hi)
+    base_limit = DEFAULT_SIEVE.base_prime_limit
+    need_check = _far(hi, base_limit)
+    count = int(lo <= 2 <= hi)
+    for start, flags in _sieved(lo, hi, base_limit):
+        if need_check:
+            count += sum(map(is_prime, _survivors(start, flags)))
+        else:
+            count += flags.count(1)
+    return count
 
 
 def first_prime_in_range(lo: int, hi: int) -> int:
@@ -288,7 +354,7 @@ def first_prime_in_range(lo: int, hi: int) -> int:
     survivor, so it has no width budget (this is the record-hunting code
     path).
     """
-    p = next(_sieved(lo, hi, _FIRST_HIT_BASE_LIMIT), None)
+    p = next(_primes(lo, hi, _FIRST_HIT_BASE_LIMIT), None)
     if p is None:
         raise NoPrimeInIntervalError(lo, hi)
     return p

@@ -1,6 +1,7 @@
 """Primality decisions and interval enumeration against brute-force oracles."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,12 +294,97 @@ def test_sieve_results_do_not_depend_on_call_order(monkeypatch, sieve, grown):
 
 
 def test_first_prime_crosses_segments(monkeypatch):
-    # Segments of 7 integers put most first primes past the first segment.
+    # Segments of 7 odd integers put most first primes past the first segment.
     monkeypatch.setattr(primality, "SEGMENT_SIZE", 7)
     for lo in list(range(-3, 200)) + [2**32 - 40, DETERMINISTIC_LIMIT]:
         want = nextprime(lo - 1)
         assert first_prime_in_range(lo, lo + 200) == want, lo
         assert primes_in_range(lo, want) == [want], lo
+
+
+_SPAN = 2 * primality.SEGMENT_SIZE  # integers per sieved segment
+_FAR_LO = (_LIMIT + 1) ** 2  # isqrt(hi) past the listing's base-prime cap
+ORACLE_WINDOWS = {
+    "small-lo": [(lo, hi) for lo in range(5) for hi in range(lo, 12)]
+    + [(lo, 10**4 + d) for lo in range(5) for d in (0, 1)],
+    # lo even or odd times hi even or odd, near and far from the base primes.
+    "parity": [(a + i, a + w + j) for a in (1000, 10**9, 10**12 - 10**4)
+               for i in (0, 1) for j in (0, 1) for w in (2, 300)],
+    "width-1": [(n, n) for n in (2, 3, 4, 9, 25, 97, 1001, 7919, 10**9 + 7, 10**9 + 9,
+                                 10**12 + 39, 10**12 + 40, _FAR_LO + 1)],
+    # Windows that hold their own base primes: lo <= sqrt(hi).
+    "own-base-primes": [(1, 10**5), (2, 10**5 + 1), (3, 999), (5, 1000), (100, 10**4 + 7)],
+    "far": [(_FAR_LO, _FAR_LO + 1000), (_FAR_LO + 1, _FAR_LO + 2001)],
+}
+
+
+def _assert_entry_points_match(lo, hi, want):
+    listed = primes_in_range(lo, hi)
+    assert listed == want, (lo, hi)
+    assert count_primes_in_range(lo, hi) == len(listed), (lo, hi)
+    assert _first_prime_or_none(lo, hi) == (want[0] if want else None), (lo, hi)
+
+
+@pytest.mark.parametrize("kind", ORACLE_WINDOWS)
+def test_sieve_entry_points_match_sympy_primerange(kind):
+    for lo, hi in ORACLE_WINDOWS[kind]:
+        _assert_entry_points_match(lo, hi, list(primerange(lo, hi + 1)))
+
+
+@pytest.mark.parametrize("lo", [0, 1000, 1001])
+def test_sieve_entry_points_match_sympy_at_a_segment_boundary(lo):
+    # The first segment ends at the odd integer (max(lo, 3) | 1) + _SPAN - 2;
+    # hi runs from two below that end to two past it.
+    end = (max(lo, 3) | 1) + _SPAN - 2
+    pool = list(primerange(lo, end + 3))
+    for hi in range(end - 2, end + 3):
+        _assert_entry_points_match(lo, hi, [p for p in pool if p <= hi])
+
+
+def test_sieve_entry_points_match_sympy_across_small_segments(monkeypatch):
+    # Segments of 5 odd integers put every window across several boundaries.
+    monkeypatch.setattr(primality, "SEGMENT_SIZE", 5)
+    for a in (0, 1, 10**9 - 7):
+        for lo in range(a, a + 12):
+            for hi in range(lo, lo + 40, 3):
+                _assert_entry_points_match(lo, hi, list(primerange(lo, hi + 1)))
+
+
+def test_near_count_reads_the_flags(monkeypatch):
+    # Below the base-prime cap every set flag is a prime: no survivor is tested.
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called by a near count")
+
+    monkeypatch.setattr(primality, "is_prime", refuse)
+    for lo, hi in [(0, 10**5), (10**9, 10**9 + 10**4), (10**12, 10**12 + 2000)]:
+        assert count_primes_in_range(lo, hi) == len(list(primerange(lo, hi + 1))), (lo, hi)
+
+
+def test_far_count_confirms_survivors(monkeypatch):
+    tested = []
+
+    def spy(n, real=primality.is_prime):
+        tested.append(n)
+        return real(n)
+
+    monkeypatch.setattr(primality, "is_prime", spy)
+    want = list(primerange(_FAR_LO, _FAR_LO + 1001))
+    assert count_primes_in_range(_FAR_LO, _FAR_LO + 1000) == len(want)
+    assert set(want) <= set(tested)
+
+
+def test_count_memory_does_not_grow_with_the_base_table():
+    # The 78k base primes below 10**6 are struck in chunks, so a count holds
+    # one segment's flags and one chunk of strike offsets, not 78k offsets.
+    lo = 10**12
+    small_primes(_LIMIT)  # grow the shared table outside the measurement
+    tracemalloc.start()
+    try:
+        count_primes_in_range(lo, lo + 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 @given(st.integers(min_value=0, max_value=50_000))
