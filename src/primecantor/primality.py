@@ -261,8 +261,8 @@ def _sieved(lo: int, hi: int, base_limit: int) -> Iterator[Tuple[int, bytearray]
         end = min(start + 2 * SEGMENT_SIZE - 2, hi)
         flags = _strike(start, end, base_primes, stop)
         yield start, flags
-        # The caller is done with these flags; freeing them before the next
-        # strike keeps one segment's flags alive at a time.
+        # Emptied before the next strike, so one segment's flags are alive
+        # at a time: callers must be done with them before they resume.
         flags.clear()
 
 
@@ -332,19 +332,17 @@ def count_primes_in_range(lo: int, hi: int) -> int:
     """The number of primes in [lo, hi], read from the sieve flags.
 
     Same checks and budget as primes_in_range.  Each segment's count is
-    its number of set flags; only in the far regime, where the base primes
-    stop short of sqrt(hi), are the survivors confirmed one by one.
+    its number of set flags, except in the far regime, where the base
+    primes stop short of sqrt(hi): there the primes that primes_in_range
+    lists, each survivor confirmed by is_prime, are counted.
     """
     _check_window(lo, hi)
     base_limit = DEFAULT_SIEVE.base_prime_limit
-    need_check = _far(hi, base_limit)
-    count = int(lo <= 2 <= hi)
-    for start, flags in _sieved(lo, hi, base_limit):
-        if need_check:
-            count += sum(map(is_prime, _survivors(start, flags)))
-        else:
-            count += flags.count(1)
-    return count
+    if _far(hi, base_limit):
+        return sum(1 for _ in _primes(lo, hi, base_limit))
+    return int(lo <= 2 <= hi) + sum(
+        flags.count(1) for _, flags in _sieved(lo, hi, base_limit)
+    )
 
 
 def first_prime_in_range(lo: int, hi: int) -> int:

@@ -294,8 +294,9 @@ def test_sieve_results_do_not_depend_on_call_order(monkeypatch, sieve, grown):
 
 
 def test_first_prime_crosses_segments(monkeypatch):
-    # Segments of 7 odd integers put most first primes past the first segment.
-    monkeypatch.setattr(primality, "SEGMENT_SIZE", 7)
+    # Segments of 3 odd integers (a span of 6) put every first prime that
+    # lies 6 or more past lo | 1 outside the first segment.
+    monkeypatch.setattr(primality, "SEGMENT_SIZE", 3)
     for lo in list(range(-3, 200)) + [2**32 - 40, DETERMINISTIC_LIMIT]:
         want = nextprime(lo - 1)
         assert first_prime_in_range(lo, lo + 200) == want, lo
@@ -374,8 +375,11 @@ def test_far_count_confirms_survivors(monkeypatch):
 
 
 def test_count_memory_does_not_grow_with_the_base_table():
-    # The 78k base primes below 10**6 are struck in chunks, so a count holds
-    # one segment's flags and one chunk of strike offsets, not 78k offsets.
+    # The 78k base primes below 10**6 are struck in chunks, and each
+    # segment's flags are emptied before the next is struck, so a count
+    # across two segments holds one segment's flags (256 KB), its zero
+    # buffer and one chunk of strike offsets: not 78k offsets (about 4 MB),
+    # nor two segments' flags at once (about 750 KB).
     lo = 10**12
     small_primes(_LIMIT)  # grow the shared table outside the measurement
     tracemalloc.start()
@@ -384,7 +388,7 @@ def test_count_memory_does_not_grow_with_the_base_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20, peak
+    assert peak < 640 << 10, peak
 
 
 @given(st.integers(min_value=0, max_value=50_000))
