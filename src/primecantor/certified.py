@@ -6,8 +6,8 @@ clearing the denominator, entirely in integer arithmetic.  ``scaled_pow`` is
 the one place that clears an exponent: every floor or ceiling of a rational
 power in the package is a single call to it, and through it a single call
 to the root primitive ``introot``.  Enclosure endpoints are dyadic rationals
-(integer mantissa over a power of two), so comparisons and midpoints never
-accumulate rounding error.
+(integer mantissa over a power of two), so arithmetic on them never
+accumulates rounding error.
 """
 
 from __future__ import annotations
@@ -63,40 +63,26 @@ def introot(n: int, k: int) -> int:
 
 
 def dyadic(mantissa: int, scale: int) -> Fraction:
-    """The dyadic rational mantissa / 2**scale."""
-    if scale >= 0:
-        return Fraction(mantissa, 1 << scale)
-    return Fraction(mantissa << -scale)
+    """The dyadic rational mantissa / 2**scale, for scale >= 0 (every scale
+    in the package is a count of binary places)."""
+    return Fraction(mantissa, 1 << scale)
 
 
 @dataclass(frozen=True)
 class Bracket:
-    """A certified enclosure of a real number with dyadic endpoints."""
+    """The closed interval [lo, hi] with dyadic endpoints, a certified
+    enclosure of a real number or of an interval."""
 
     lo: Fraction
     hi: Fraction
-    closed_hi: bool = True
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("Bracket endpoints out of order")
-        if self.lo == self.hi and not self.closed_hi:
-            raise ValueError("degenerate Bracket must be closed")
 
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def __contains__(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo <= x and (x < self.hi or (self.closed_hi and x == self.hi))
 
 
 def scaled_pow(q: Rational, e: Rational, scale: int = 1) -> Tuple[int, int]:

@@ -331,8 +331,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Run one subcommand.
 
     Library failures (PrimeCantorError) exit 1; invalid input (ValueError,
-    such as a composite seed or a malformed levels file) and unreadable
-    files (OSError) exit 2.  Either way stderr gets one ``error:`` line.
+    such as a composite seed or a malformed levels file, and OverflowError,
+    such as an exponent past float range) and unreadable files (OSError)
+    exit 2.  Either way stderr gets one ``error:`` line.
     CPython's cap on int-to-str digits is lifted for the run, since
     ``--digits`` may ask for more, and restored on return.
     """
@@ -345,7 +346,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PrimeCantorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -10,42 +10,31 @@ than speculative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from os.path import commonprefix
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import primality
-from .certified import (
-    Bracket,
-    Rational,
-    dyadic,
-    scale_for_width,
-    scaled_pow,
-    slope_scale,
-)
+from .certified import Bracket, dyadic, scaled_pow, slope_scale
 from .chains import PrimeChain, admissible_interval
 from .errors import NeedMoreDepthError
 
 
-def bracket_for_chain(
-    chain: PrimeChain, target_width: Optional[Rational] = None
-) -> Bracket:
+def bracket_for_chain(chain: PrimeChain) -> Bracket:
     """Outward-rounded dyadic enclosure of the chain's level interval.
 
-    The returned bracket contains [a**(1/C), (a+1)**(1/C)).  Its scale
-    2**-s is the mean-value width estimate plus 8 guard bits, so the rounding
-    slack per endpoint is below 1/8 of the enclosed width (and below
-    target_width/4 when a target is given): digit decisions stay stable.
+    The returned closed bracket contains [a**(1/C), (a+1)**(1/C)]: its upper
+    end floor(2**s * (a+1)**(1/C)) / 2**s + 2**-s lies strictly above
+    (a+1)**(1/C).  The scale 2**-s is the mean-value width estimate plus 8
+    guard bits, so the rounding slack per endpoint is below 1/8 of the
+    enclosed width: digit decisions stay stable.
     """
     e = 1 / chain.exponents.C(len(chain))
     a = chain.last
 
     s = max(8, slope_scale(a, e) + 8)
-    if target_width is not None:
-        s = max(s, scale_for_width(Fraction(target_width) / 4))
     m_lo = scaled_pow(a, e, 1 << s)[0]
     m_hi = scaled_pow(a + 1, e, 1 << s)[0] + 1
-    return Bracket(dyadic(m_lo, s), dyadic(m_hi, s), closed_hi=False)
+    return Bracket(dyadic(m_lo, s), dyadic(m_hi, s))
 
 
 def max_determined_digits(chain: PrimeChain, limit: int = 64) -> int:

@@ -218,11 +218,12 @@ def proposition_bound(a1: int, R: Rational) -> float:
     This is the first-order form in 1/a1 of the limit
     ln a1 / (ln a1 + R ln(1 + 1/a1)) of the general preset with constant
     exponent c = R, and lies just below it: the two differ by 1.4e-7 at
-    a1 = 1009, R = 2.
+    a1 = 1009, R = 2.  R / a1 is divided exactly before it is rounded, so a1
+    never becomes a float and seeds past float range give 1.0.
     """
     if a1 < 2:
         raise ValueError("a1 must be >= 2")
-    return 1.0 / (1.0 + float(Fraction(R)) / (a1 * math.log(a1)))
+    return 1.0 / (1.0 + float(Fraction(R) / a1) / math.log(a1))
 
 
 def measured_levels(

@@ -313,19 +313,14 @@ def _check_window(lo: int, hi: int) -> None:
         )
 
 
-def iter_primes_in_range(lo: int, hi: int) -> Iterator[int]:
-    """Ascending primes p with lo <= p <= hi, lazily.
+def primes_in_range(lo: int, hi: int) -> List[int]:
+    """Exactly the primes p with lo <= p <= hi, ascending.
 
     Raises ValueError when lo > hi or PRIMECANTOR_WIDTH_LIMIT is invalid,
     and RangeTooLargeError when the width exceeds the budget.
     """
     _check_window(lo, hi)
-    yield from _primes(lo, hi, DEFAULT_SIEVE.base_prime_limit)
-
-
-def primes_in_range(lo: int, hi: int) -> List[int]:
-    """Exactly the primes in [lo, hi], ascending."""
-    return list(iter_primes_in_range(lo, hi))
+    return list(_primes(lo, hi, DEFAULT_SIEVE.base_prime_limit))
 
 
 def count_primes_in_range(lo: int, hi: int) -> int:

@@ -75,28 +75,26 @@ def test_pow_floor_ceil_sandwich(a, c):
 
 def test_dyadic_and_bracket_basics():
     assert dyadic(3, 2) == Fraction(3, 4)
-    assert dyadic(3, -1) == 6
+    assert dyadic(3, 0) == 3
     b = Bracket(Fraction(1), Fraction(2))
     assert b.width == 1
-    assert b.midpoint() == Fraction(3, 2)
-    assert Fraction(1) in b and Fraction(2) in b
-    assert not b.exact
-    half_open = Bracket(Fraction(1), Fraction(2), closed_hi=False)
-    assert Fraction(2) not in half_open
+    assert (b.lo + b.hi) / 2 == Fraction(3, 2)
+    assert b.lo <= 1 <= b.hi and b.lo <= 2 <= b.hi
+    assert b.lo != b.hi
     with pytest.raises(ValueError):
         Bracket(Fraction(2), Fraction(1))
-    with pytest.raises(ValueError):
-        Bracket(Fraction(1), Fraction(1), closed_hi=False)
+    # A degenerate bracket is a closed interval holding one point.
+    assert Bracket(Fraction(1), Fraction(1)).width == 0
 
 
 def test_root_enclosure_exact_cases():
     b = root_enclosure(8, 3, Fraction(1, 1000))
-    assert b.exact and b.lo == 2
+    assert b.lo == b.hi == 2
     b = root_enclosure(3, 1, Fraction(1, 2))
-    assert b.exact and b.lo == 3
+    assert b.lo == b.hi == 3
     # 64 ** (1/(3/2)) = 64 ** (2/3) = 16
     b = root_enclosure(64, Fraction(3, 2), Fraction(1))
-    assert b.exact and b.lo == 16
+    assert b.lo == b.hi == 16
 
 
 def test_root_enclosure_cbrt2():
@@ -104,7 +102,7 @@ def test_root_enclosure_cbrt2():
     assert b.width <= Fraction(1, 10**6)
     # Independent check: the endpoints must straddle the cube root of 2.
     assert b.lo**3 <= 2 <= b.hi**3
-    assert abs(float(b.midpoint()) - 1.259921) < 2e-6
+    assert abs(float((b.lo + b.hi) / 2) - 1.259921) < 2e-6
 
 
 @given(
@@ -285,9 +283,9 @@ def test_root_enclosure_matches_sympy(case, w_num, w_den):
     root, exact = integer_nthroot(t, n)
     b = root_enclosure(a, big_c, width)
     if exact:
-        assert b.exact and b.lo == root
+        assert b.lo == b.hi == root
         return
-    assert not b.exact and b.closed_hi
+    assert b.lo < b.hi
     # The coarsest dyadic scale 2**-s with 2**-s <= width.
     s = b.width.denominator.bit_length() - 1
     assert b.width == Fraction(1, 1 << s) <= width

@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from sympy import nextprime
 
 import primecantor
 from primecantor.chains import admissible_interval
@@ -207,6 +208,23 @@ def test_dimension_bounds(capsys):
     code, _, err = run(capsys, "dimension", "--bound", "theorem")
     assert code == 2
     assert "--p" in err
+
+
+def test_dimension_bound_takes_a_seed_past_float_range(capsys):
+    # The bound is 1 / (1 + R / (a1 ln a1)), which rounds to 1 at this size.
+    seed = nextprime(2**1024)
+    code, out, _ = run(
+        capsys, "dimension", "--bound", "theorem", "--seed", str(seed), "--c", "2"
+    )
+    assert code == 0
+    assert out == "1.0000000000\n"
+    for preset in (("paper-simple",), ("paper-general", "--c", "2")):
+        code, out, _ = run(
+            capsys, "dimension", "--preset", *preset, "--seed", str(seed),
+            "--kmax", "4", "--out", "json",
+        )
+        assert code == 0, preset
+        assert json.loads(out)["theorem_bound"] == 1.0, preset
 
 
 def test_dimension_bound_needs_a_sequence(capsys):
@@ -468,13 +486,18 @@ def assert_one_error_line(err):
           "--delta", "-0.5", "--kmax", "6"), 2),
         (("dimension", "--preset", "paper-simple", "--p", "11",
           "--delta", "1.5", "--kmax", "6"), 2),
+        # An exponent past float range cannot enter the log-space formulas.
+        (("dimension", "--bound", "theorem", "--seed", "11", "--c", "1e400"), 2),
+        (("dimension", "--preset", "paper-general", "--seed", "11",
+          "--c", "1e400", "--kmax", "4"), 2),
     ],
     ids=["no-prime-in-interval", "measured-depth0", "no-exponent",
          "digits-below-integer-part", "no-preset", "no-p",
          "paper-simple-fixes-c", "no-seed", "paper-simple-composite-seed",
          "paper-general-composite-seed", "bound-composite-seed",
          "tree-node-budget", "tree-negative-node-budget",
-         "negative-delta", "delta-above-one"],
+         "negative-delta", "delta-above-one", "bound-huge-c",
+         "paper-general-huge-c"],
 )
 def test_errors_exit_with_one_line(capsys, argv, want):
     code, out, err = run(capsys, *argv)
