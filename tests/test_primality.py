@@ -1,7 +1,6 @@
 """Primality decisions and interval enumeration against brute-force oracles."""
 
 import math
-import random
 import tracemalloc
 
 import pytest
@@ -143,6 +142,24 @@ def test_count_primes_in_range_examples():
     assert count_primes_in_range(14, 16) == 0
 
 
+def test_count_matches_list_length_on_random_windows():
+    import random
+
+    rng = random.Random(5)
+    for _ in range(20):
+        lo = rng.randrange(0, 10_000)
+        hi = lo + rng.randrange(0, 500)
+        assert count_primes_in_range(lo, hi) == len(primes_in_range(lo, hi))
+
+
+def test_sieve_fallback_far_window():
+    # sqrt(hi) is far beyond the base-prime budget; survivors get the
+    # per-candidate test.
+    lo = 10**18
+    got = primes_in_range(lo, lo + 200)
+    assert got == [n for n in range(lo, lo + 201) if is_prime(n)]
+
+
 def test_primes_in_range_matches_sympy_at_base_table_edges():
     # isqrt(hi) on a power of two (2^j - 1, 2^j, 2^j + 1), where the shared
     # table doubles, and on the base-prime limit and one past it, which
@@ -182,6 +199,21 @@ def test_first_prime_in_range():
         first_prime_in_range(24, 28)
     with pytest.raises(NoPrimeInIntervalError):
         first_prime_in_range(10, 5)
+
+
+def test_first_prime_matches_sieve_on_random_windows():
+    import random
+
+    rng = random.Random(11)
+    for _ in range(25):
+        lo = rng.randrange(2, 100_000)
+        hi = lo + rng.randrange(1, 2_000)
+        listed = primes_in_range(lo, hi)
+        if listed:
+            assert first_prime_in_range(lo, hi) == listed[0]
+        else:
+            with pytest.raises(NoPrimeInIntervalError):
+                first_prime_in_range(lo, hi)
 
 
 def _windows_below(his, widths=(0, 1, 10, 300, 2000)):
@@ -271,16 +303,6 @@ def test_first_prime_crosses_segments(monkeypatch):
         assert primes_in_range(lo, want) == [want], lo
 
 
-def _random_windows(seed, count, lo_range, width_range):
-    """count windows [lo, lo + w], lo and w drawn from random.Random(seed)."""
-    rng = random.Random(seed)
-    windows = []
-    for _ in range(count):
-        lo = rng.randrange(*lo_range)
-        windows.append((lo, lo + rng.randrange(*width_range)))
-    return windows
-
-
 _SPAN = 2 * primality.SEGMENT_SIZE  # integers per sieved segment
 _FAR_LO = (_LIMIT + 1) ** 2  # isqrt(hi) past the listing's base-prime cap
 ORACLE_WINDOWS = {
@@ -293,11 +315,7 @@ ORACLE_WINDOWS = {
                                  10**12 + 39, 10**12 + 40, _FAR_LO + 1)],
     # Windows that hold their own base primes: lo <= sqrt(hi).
     "own-base-primes": [(1, 10**5), (2, 10**5 + 1), (3, 999), (5, 1000), (100, 10**4 + 7)],
-    "random": _random_windows(5, 20, (0, 10_000), (0, 500))
-    + _random_windows(11, 25, (2, 100_000), (1, 2_000)),
-    # sqrt(hi) past the base-prime cap: survivors get is_prime.
-    "far": [(_FAR_LO, _FAR_LO + 1000), (_FAR_LO + 1, _FAR_LO + 2001),
-            (10**18, 10**18 + 200)],
+    "far": [(_FAR_LO, _FAR_LO + 1000), (_FAR_LO + 1, _FAR_LO + 2001)],
 }
 
 
