@@ -129,6 +129,11 @@ def verify_representation(chain: PrimeChain) -> RepresentationReport:
     Each step checks the admissible-interval membership of a_{j+1} under
     a_j by integer comparison (no floating point); chained together these
     imply the floor identity for every constant in the level interval.
+    Every element also goes through is_prime.  Above DETERMINISTIC_LIMIT
+    that reruns the strong base-2 test and then reads the rest of the
+    Baillie-PSW verdict from is_prime's cache when the chain's search has
+    just proved the element: the verdict is a pure function of the element,
+    so the remembered one is the one a fresh test would give.
     """
     checks: List[LevelCheck] = []
     for j, a in enumerate(chain.elements, start=1):

@@ -1,24 +1,29 @@
 """Exact primality decisions and prime enumeration over big-integer intervals.
 
-Primality is deterministic below ``DETERMINISTIC_LIMIT`` (a known exact
-Miller-Rabin witness set) and strong-probable beyond it: a Baillie-PSW style
-combination of a strong base-2 test and a strong Lucas test, plus
-``EXTRA_ROUNDS`` Miller-Rabin rounds whose bases are derived from the fixed
-recorded seed ``RNG_SEED``.
+Primality is deterministic below ``DETERMINISTIC_LIMIT``, where n is tested
+with the fewest leading prime bases known to be exact below it, and
+strong-probable beyond it: a Baillie-PSW style combination of a strong
+base-2 test and a strong Lucas test, plus ``EXTRA_ROUNDS`` Miller-Rabin
+rounds whose bases are derived from the fixed recorded seed ``RNG_SEED``.
+Beyond the limit the verdict of every n that passes the base-2 test is
+remembered, so a prime found by a search and checked again is proved once.
 
 Listing, counting, the first-prime search and the growth of the base-prime
 table all go through one strike routine, ``_strike``, which flags the odd
 integers of a segment and strikes the odd multiples of the base primes; the
 prime 2 is added once by the callers.  A count is the number of set flags
 unless the base primes stop short of sqrt(hi), when the survivors are
-confirmed with ``is_prime``.  Listing and counting read their width budget
-from ``PRIMECANTOR_WIDTH_LIMIT`` at each call (default
-``DEFAULT_SIEVE.width_limit``); besides that, the only shared state is one
-ascending table of base primes, grown in place by doubling as windows need it.
+confirmed with ``is_prime``.  The first-prime search strikes with base
+primes up to a depth that grows with the size of lo.  Listing and counting
+read their width budget from ``PRIMECANTOR_WIDTH_LIMIT`` at each call
+(default ``DEFAULT_SIEVE.width_limit``); besides that and is_prime's
+remembered verdicts, the only shared state is one ascending table of base
+primes, grown in place by doubling as windows need it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -29,16 +34,36 @@ from typing import Iterator, List, Tuple
 
 from .errors import NoPrimeInIntervalError, RangeTooLargeError
 
-# Smallest composite that fools the first 13 prime bases is
-# 3317044064679887385961981; below it the witness set is exact.
-DETERMINISTIC_LIMIT = 3317044064679887385961981
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_j, the smallest composite that is a strong probable prime to each of
+# the first j prime bases (OEIS A014233; Jaeschke, Math. Comp. 61 (1993);
+# Sorenson & Webster, Math. Comp. 86 (2017), for psi_12 and psi_13).  The
+# first j bases therefore decide every n < psi_j exactly.
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+DETERMINISTIC_LIMIT = _PSI[-1]
 
 # Above the threshold, EXTRA_ROUNDS random-base Miller-Rabin rounds follow
 # Baillie-PSW; the bases depend only on RNG_SEED and the tested integer, so
 # verdicts are stable across calls and threads.
 EXTRA_ROUNDS = 2
 RNG_SEED = 20240229
+# Verdicts remembered past the base-2 test: nearly every composite fails
+# that test, so the entries are the primes of a few recent chains.
+_PROVEN_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -57,11 +82,24 @@ SEGMENT_SIZE = 1 << 18
 # Base primes whose first strike indices are computed in one comprehension;
 # chunks keep the scratch list small when the table holds 78k primes.
 _STRIKE_CHUNK = 2048
-# Base-prime cap of the first-hit search, below enumeration's
-# base_prime_limit of 10**6: a search that stops at its first prime tests
-# only the few survivors in front of it, while enumeration confirms every
-# survivor, so only there do more base primes pay for themselves.
-_FIRST_HIT_BASE_LIMIT = 1 << 14
+# Base-prime depth of the first-hit search.  A search from lo strikes one
+# segment with the pi(P) base primes up to P, then tests the survivors in
+# front of the first prime, each composite with one base-2 Miller-Rabin
+# test.  The next prime lies about ln(lo) past lo, and a share 2e^-g / ln P
+# of the odd integers survives (Mertens, g = Euler's constant), so the
+# search tests about e^-g ln(lo) / ln P survivors.  At b = lo.bit_length()
+# one base prime costs c = 0.2 + 0.0004 b microseconds (its strike offset is
+# a big-integer remainder) and one test T ~ b**3 (0.45 ms at 450 bits, 18 ms
+# at 1790 bits, Python 3.11 on x86-64), so the cost pi(P) c + T e^-g ln(lo)
+# / ln P is least where P ln P ~ e^-g ln(lo) T / c, which grows with about
+# b**3.  P = b**3 / 2**13 is within 2 % of that least modelled cost from 512
+# to 2500 bits (the cost is flat near it), and it is 25 % below the cost at
+# a fixed 2**14 at 1790 bits.  Below 512 bits it falls under the floor
+# 2**14, where the strike of the segment's small primes costs more than the
+# few tests it saves; from 2017 bits on it is capped at enumeration's
+# base_prime_limit, so the shared table never grows past the 2**20 that
+# listing already grows it to.
+_FIRST_HIT_BASE_FLOOR = 1 << 14
 
 # Every prime <= _covered, ascending.  _covered starts at 4 and doubles; step
 # [c + 1, 2c] is struck by the primes up to sqrt(2c) that the table holds.
@@ -187,13 +225,24 @@ def is_prime(n: int) -> bool:
         s += 1
 
     if n < DETERMINISTIC_LIMIT:
-        return not any(
-            _miller_rabin_witness(n, a, d, s) for a in _DETERMINISTIC_BASES
-        )
+        bases = _DETERMINISTIC_BASES[: bisect_right(_PSI, n) + 1]
+        return not any(_miller_rabin_witness(n, a, d, s) for a in bases)
 
     # Baillie-PSW: strong base-2 plus strong Lucas, after a square check.
     if _miller_rabin_witness(n, 2, d, s):
         return False
+    return _passes_after_base_2(n, d, s)
+
+
+@functools.lru_cache(maxsize=_PROVEN_CACHE_SIZE)
+def _passes_after_base_2(n: int, d: int, s: int) -> bool:
+    """The rest of Baillie-PSW for n >= DETERMINISTIC_LIMIT, n - 1 = d * 2**s.
+
+    Run only once n has passed the strong base-2 test.  The verdict depends
+    on n alone, since the extra bases come from RNG_SEED and n, so it is
+    remembered: a prime that a search has proved and a verification checks
+    again costs one more base-2 test, not a second strong Lucas test.
+    """
     r = math.isqrt(n)
     if r * r == n:
         return False
@@ -340,14 +389,23 @@ def count_primes_in_range(lo: int, hi: int) -> int:
     )
 
 
+def _first_hit_base_limit(lo: int) -> int:
+    """Depth of the base primes a first-hit search from lo strikes with."""
+    depth = lo.bit_length() ** 3 >> 13
+    return min(max(depth, _FIRST_HIT_BASE_FLOOR), DEFAULT_SIEVE.base_prime_limit)
+
+
 def first_prime_in_range(lo: int, hi: int) -> int:
     """Smallest prime in [lo, hi]; raises NoPrimeInIntervalError if none.
 
     The search is lazy, sieving one segment at a time until the first
     survivor, so it has no width budget (this is the record-hunting code
-    path).
+    path).  It strikes with the base primes up to _first_hit_base_limit(lo),
+    2**14 below 512 bits and growing with the cube of lo's bit length up to
+    base_prime_limit, since each composite survivor costs a Miller-Rabin
+    test whose price grows with about that cube.
     """
-    p = next(_primes(lo, hi, _FIRST_HIT_BASE_LIMIT), None)
+    p = next(_primes(lo, hi, _first_hit_base_limit(lo)), None)
     if p is None:
         raise NoPrimeInIntervalError(lo, hi)
     return p

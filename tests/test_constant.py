@@ -1,11 +1,13 @@
 """Certified enclosures, digit extraction, and representation verification."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import integer_nthroot
 
+from primecantor import primality
 from primecantor.certified import root_enclosure
 from primecantor.chains import ExponentSequence, PrimeChain, extend_greedy
 from primecantor.constant import (
@@ -105,6 +107,50 @@ def test_verify_representation_nesting_violation():
     assert not report.all_passed
     assert report.levels[1].is_prime
     assert not report.levels[1].nesting_ok
+
+
+def _count_lucas_tests(monkeypatch):
+    """Start is_prime with no remembered verdicts, and count by n the strong
+    Lucas tests it runs from then on."""
+    primality._passes_after_base_2.cache_clear()
+    calls = Counter()
+
+    def spy(n, real=primality._strong_lucas_prp):
+        calls[n] += 1
+        return real(n)
+
+    monkeypatch.setattr(primality, "_strong_lucas_prp", spy)
+    return calls
+
+
+def test_verification_proves_each_greedy_prime_once(monkeypatch):
+    # Levels 5-7 of the c = 3 chain from 2 (94 to 844 bits) lie above the
+    # deterministic limit: the search proves each once, and the check of the
+    # whole chain runs no second strong Lucas test.
+    calls = _count_lucas_tests(monkeypatch)
+    chain = mills_chain(6)
+    report = verify_representation(chain)
+    above = [a for a in chain.elements if a >= primality.DETERMINISTIC_LIMIT]
+    assert len(above) == 3
+    assert report.all_passed
+    assert [c.probable_prime for c in report.levels] == [a in above for a in chain.elements]
+    assert calls == Counter(above)
+
+
+def test_remembered_verdict_rejects_a_base_2_pseudoprime(monkeypatch):
+    # 2**83 - 1 = 167 * 57912614113275649087721 lies above the limit and is
+    # a strong probable prime to base 2 (2 has order 83 modulo it, and 83
+    # divides its odd part (n - 1) / 2), so only the remembered part of
+    # Baillie-PSW can reject it, on every call.
+    n = 2**83 - 1
+    assert n > primality.DETERMINISTIC_LIMIT and n == 167 * 57912614113275649087721
+    assert not primality._miller_rabin_witness(n, 2, (n - 1) // 2, 1)
+    calls = _count_lucas_tests(monkeypatch)
+    verdicts = [primality.is_prime(n) for _ in range(2)]
+    assert verdicts == [False, False]
+    assert calls == Counter({n: 1})
+    es = ExponentSequence.constant(3)
+    assert not verify_representation(PrimeChain(es, (n,))).all_passed
 
 
 def test_report_to_dict_round_trips_flags():

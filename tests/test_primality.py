@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import isprime as sympy_isprime, nextprime, primerange
+from sympy import isprime as sympy_isprime, nextprime, prevprime, primerange
 
 from primecantor import primality
 from primecantor.errors import NoPrimeInIntervalError, RangeTooLargeError
@@ -60,6 +60,63 @@ def test_is_prime_strong_pseudoprimes_to_base_2():
     # Classic strong pseudoprimes to base 2 must still be rejected.
     for n in (2047, 3277, 4033, 4681, 8321, 15841, 29341):
         assert not is_prime(n), n
+
+
+def _d_s(n):
+    """(d, s) with n - 1 = d * 2**s and d odd."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    return (n - 1) >> s, s
+
+
+# OEIS A014233, terms 1-13: the smallest strong pseudoprime to all of the
+# first j prime bases.
+A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051, 318665857834031151167461,
+           3317044064679887385961981)
+
+
+def test_psi_bounds_fool_exactly_their_bases():
+    # psi_j is composite and a strong probable prime to each of the first j
+    # prime bases, which therefore cannot decide psi_j itself; that they
+    # decide every n below it is the cited result (checked for j = 1 by the
+    # next test).  is_prime tests psi_j with more bases and rejects it, and
+    # agrees with sympy around it.
+    bases = primality._DETERMINISTIC_BASES
+    assert primality._PSI == A014233
+    assert A014233[-1] == DETERMINISTIC_LIMIT
+    for j, psi in enumerate(A014233, start=1):
+        d, s = _d_s(psi)
+        assert not sympy_isprime(psi), j
+        assert not any(primality._miller_rabin_witness(psi, a, d, s) for a in bases[:j]), j
+        for n in range(psi - 30, psi + 31):
+            assert is_prime(n) == sympy_isprime(n), (j, n)
+
+
+def test_base_2_decides_every_odd_composite_below_psi_1():
+    # Every odd composite below 2047 has base 2 as a strong witness, so the
+    # base 2 alone is exact there.
+    for n in range(9, primality._PSI[0], 2):
+        if not sympy_isprime(n):
+            assert primality._miller_rabin_witness(n, 2, *_d_s(n)), n
+
+
+def test_primes_below_the_limit_take_the_fewest_exact_bases(monkeypatch):
+    # The largest prime below psi_j is tested with the first i bases only,
+    # for the first psi_i equal to psi_j: 13 bases just below the limit, 9
+    # below 3.8e18 (psi_9 = psi_10 = psi_11), 1 below 2047.
+    witnesses = []
+
+    def spy(n, a, d, s, real=primality._miller_rabin_witness):
+        witnesses.append(a)
+        return real(n, a, d, s)
+
+    monkeypatch.setattr(primality, "_miller_rabin_witness", spy)
+    for j, psi in enumerate(primality._PSI, start=1):
+        witnesses.clear()
+        assert is_prime(prevprime(psi)), j
+        i = primality._PSI.index(psi) + 1
+        assert witnesses == list(primality._DETERMINISTIC_BASES[:i]), j
 
 
 def test_probable_only_threshold():
@@ -220,7 +277,7 @@ def _windows_below(his, widths=(0, 1, 10, 300, 2000)):
     return [(hi - w, hi) for hi in his for w in widths]
 
 
-_CAP = primality._FIRST_HIT_BASE_LIMIT  # first_prime_in_range's base-prime cap
+_CAP = primality._FIRST_HIT_BASE_FLOOR  # the first-hit depth below 512 bits
 _FACT_20, _FACT_30 = math.factorial(20), math.factorial(30)
 PRIME_SEARCH_WINDOWS = {
     # isqrt(hi) = cap - 1, cap and cap + 1: base primes reach sqrt(hi) up
@@ -252,6 +309,25 @@ def test_first_prime_matches_sympy_nextprime(kind):
         else:
             with pytest.raises(NoPrimeInIntervalError):
                 first_prime_in_range(lo, hi)
+
+
+def test_first_prime_search_deepens_with_the_bit_length(monkeypatch):
+    # 598, 1000 and 2499 bits, where the depth rule strikes with more base
+    # primes than 2^14 (at 2499 bits, all of the listing's 10^6).  These
+    # powers of ten lie 313, 531 and 123 below their next primes, which
+    # keeps sympy's nextprime to about a second.
+    _reset_base_table(monkeypatch)
+    limit = DEFAULT_SIEVE.base_prime_limit
+    for lo in (10**180, 10**301, 10**752):
+        assert primality._first_hit_base_limit(lo) > _CAP, lo.bit_length()
+        assert first_prime_in_range(lo, lo + 10**4) == nextprime(lo - 1), lo.bit_length()
+    assert primality._first_hit_base_limit(10**752) == limit
+    # 370! + k is divisible by k for 2 <= k <= 370: a 2586-bit prime-free
+    # window that the base primes strike out entirely.
+    f = math.factorial(370)
+    with pytest.raises(NoPrimeInIntervalError):
+        first_prime_in_range(f + 2, f + 370)
+    assert limit <= primality._base_table[-1] <= 2 * limit
 
 
 _LIMIT = DEFAULT_SIEVE.base_prime_limit  # the listing's base-prime cap
