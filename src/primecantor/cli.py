@@ -148,7 +148,7 @@ def cmd_dimension(args) -> int:
         return 0
 
     profile, liminf_proxy = dimension.falconer_profile(levels)
-    by_k = {k: est for k, est in profile}
+    by_k = dict(profile)
     if args.out == "json":
         config = {
             "preset": args.preset, "kmax": args.kmax, "p": args.seed,
@@ -199,7 +199,7 @@ def _dimension_source(args):
         if args.levels_file:
             return _read_levels_file(args.levels_file), None
         return dimension.middle_thirds_levels(args.kmax), None
-    if not args.seed:
+    if args.seed is None:
         what = "--bound" if args.bound else f"the {args.preset} preset"
         raise ValueError(f"--seed (or --p) is required for {what}")
     if not primality.is_prime(args.seed):

@@ -62,62 +62,51 @@ class DimensionParams:
             raise ValueError("R must be >= 1 + theta")
 
 
-def _index_levels(levels: Sequence[LevelStats]) -> Dict[int, LevelStats]:
-    by_k: Dict[int, LevelStats] = {}
-    for stats in levels:
-        if stats.k in by_k:
-            raise InapplicableLevelsError(f"duplicate level index {stats.k}")
-        by_k[stats.k] = stats
-    return by_k
-
-
 def falconer_estimate(levels: Sequence[LevelStats], k: int) -> float:
-    """The finite-k ratio log(m_1...m_{k-1}) / -log(m_k eps_k).
-
-    Its liminf over k, not any one value, bounds the dimension from below.
-    The supplied levels must form a contiguous run ending at k (analytic
-    presets start at index 2, whose level-1 statistic the constructions do
-    not define).  When k is the lowest supplied index there is no branching
-    product yet; the level's own log m_k is used as the numerator, i.e. the
-    value the ratio would take if that level's geometry repeated.
-    """
-    by_k = _index_levels(levels)
-    if k not in by_k:
-        raise InapplicableLevelsError(f"no statistics for level {k}")
-    lowest = min(by_k)
-    for i in range(lowest, k + 1):
-        if i not in by_k:
-            raise InapplicableLevelsError(f"missing level {i}")
-        if by_k[i].log_m < LOG2 - 1e-12:
-            raise InapplicableLevelsError(
-                f"m_{i} < 2: the nested-interval bound needs two children "
-                "per interval"
-            )
-    denom = -(by_k[k].log_m + by_k[k].log_eps)
-    if denom <= 0:
-        raise InapplicableLevelsError("m_k * eps_k >= 1: gaps too wide")
-    if k == lowest:
-        numer = by_k[k].log_m
-    else:
-        numer = sum(by_k[i].log_m for i in range(lowest, k))
-    return numer / denom
+    """The finite-k ratio at level k, read from ``falconer_profile``."""
+    est = dict(falconer_profile(levels)[0]).get(k)
+    if est is None:
+        raise InapplicableLevelsError(
+            f"level {k} admits no estimate: it is missing, lies past a missing "
+            "level or an m_i < 2, or has m_k eps_k >= 1"
+        )
+    return est
 
 
 def falconer_profile(
     levels: Sequence[LevelStats],
 ) -> Tuple[List[Tuple[int, float]], float]:
-    """Per-level estimates plus the conservative tail proxy for the liminf.
+    """Every finite-k ratio log(m_1...m_{k-1}) / -log(m_k eps_k), plus the
+    conservative tail proxy for their liminf.
 
-    Returns ([(k, estimate)], min over the deepest half of the levels).
+    Returns ([(k, estimate)], min over the deepest half of the estimates);
+    levels that admit no estimate do not count towards that half.  The
+    liminf over k, not any one value, bounds the dimension from below.
+
+    One pass goes up from the lowest supplied index (analytic presets start
+    at index 2, whose level-1 statistic the constructions do not define).
+    It ends at the first missing index or m_k < 2, since every deeper ratio
+    includes that level; a level with m_k eps_k >= 1 gets no ratio, but its
+    m_k still counts.  At the lowest index there is no branching product
+    yet; the level's own log m_k is used as the numerator, i.e. the value
+    the ratio would take if that level's geometry repeated.
     """
-    by_k = _index_levels(levels)
-    ks = sorted(by_k)
-    profile = []
-    for k in ks:
-        try:
-            profile.append((k, falconer_estimate(levels, k)))
-        except InapplicableLevelsError:
-            continue
+    by_k: Dict[int, LevelStats] = {}
+    for stats in levels:
+        if stats.k in by_k:
+            raise InapplicableLevelsError(f"duplicate level index {stats.k}")
+        by_k[stats.k] = stats
+    profile: List[Tuple[int, float]] = []
+    lowest = k = min(by_k, default=0)
+    log_product = 0.0
+    while k in by_k and by_k[k].log_m >= LOG2 - 1e-12:
+        stats = by_k[k]
+        denom = -(stats.log_m + stats.log_eps)
+        if denom > 0:
+            numer = stats.log_m if k == lowest else log_product
+            profile.append((k, numer / denom))
+        log_product += stats.log_m
+        k += 1
     if not profile:
         raise InapplicableLevelsError("no level admits an estimate")
     tail = profile[-max(1, math.ceil(len(profile) / 2)):]

@@ -290,6 +290,22 @@ def test_dimension_rejects_flags_its_source_ignores(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [
+        ("--preset", "measured", "--c", "2"),
+        ("--preset", "paper-simple"),
+        ("--bound", "theorem", "--c", "2"),
+    ],
+    ids=["measured", "paper-simple", "bound"],
+)
+def test_dimension_seed_zero_is_checked_not_missing(capsys, flags):
+    code, out, err = run(capsys, "dimension", *flags, "--seed", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed 0 is not prime\n"
+
+
+@pytest.mark.parametrize(
     "flags", [("--R", "2"), ("--out", "text")], ids=["R", "out-text"]
 )
 def test_dimension_rejects_removed_flags(capsys, flags):

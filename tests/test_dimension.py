@@ -1,11 +1,12 @@
 """Nested-interval dimension estimator, analytic presets, measured levels."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import accumulate, pairwise
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from primecantor import dimension
 from primecantor.certified import root_enclosure
@@ -96,6 +97,103 @@ def test_falconer_profile_tail_minimum():
     assert ks == list(range(1, 11))
     tail = [est for k, est in profile if k > 5]
     assert proxy == min(tail)
+
+
+def _per_k_estimate(levels, k):
+    """The per-k definition the one-pass profile replaced: validate every
+    level up to k, then sum the branching logs below it."""
+    by_k = {}
+    for stats in levels:
+        if stats.k in by_k:
+            raise InapplicableLevelsError(f"duplicate level index {stats.k}")
+        by_k[stats.k] = stats
+    if k not in by_k:
+        raise InapplicableLevelsError(f"no statistics for level {k}")
+    lowest = min(by_k)
+    for i in range(lowest, k + 1):
+        if i not in by_k:
+            raise InapplicableLevelsError(f"missing level {i}")
+        if by_k[i].log_m < LOG2 - 1e-12:
+            raise InapplicableLevelsError(f"m_{i} < 2")
+    denom = -(by_k[k].log_m + by_k[k].log_eps)
+    if denom <= 0:
+        raise InapplicableLevelsError("m_k * eps_k >= 1")
+    if k == lowest:
+        numer = by_k[k].log_m
+    else:
+        numer = sum(by_k[i].log_m for i in range(lowest, k))
+    return numer / denom
+
+
+# log m around the m = 2 cut (tolerance 1e-12) and well inside either side.
+_LOG_M = st.one_of(
+    st.sampled_from([LOG2, LOG2 - 1e-13, LOG2 - 1e-11, math.log(3.0)]),
+    st.floats(0.0, 30.0),
+)
+
+
+@st.composite
+def _level_runs(draw):
+    lowest = draw(st.integers(1, 6))
+    present = draw(st.lists(st.booleans(), max_size=12))
+    levels = [
+        LevelStats(k, draw(_LOG_M), draw(st.floats(-40.0, 5.0)))
+        for k, keep in enumerate([True] + present, start=lowest)
+        if keep
+    ]
+    return draw(st.permutations(levels))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_level_runs())
+@example([LevelStats(2, LOG2, -LOG2), LevelStats(3, LOG2, -3.0)])  # m eps == 1
+def test_falconer_profile_matches_per_k_definition(levels):
+    # Runs with a random lowest index, gaps, m < 2 levels and m eps >= 1
+    # levels: the same set of k, and the same float for each.
+    want = {}
+    for stats in levels:
+        try:
+            want[stats.k] = _per_k_estimate(levels, stats.k)
+        except InapplicableLevelsError:
+            pass
+    for stats in levels:
+        if stats.k in want:
+            assert falconer_estimate(levels, stats.k) == want[stats.k]
+        else:
+            text = f"level {stats.k} " if want else "no level admits"
+            with pytest.raises(InapplicableLevelsError, match=text):
+                falconer_estimate(levels, stats.k)
+    if not want:
+        with pytest.raises(InapplicableLevelsError, match="no level admits"):
+            falconer_profile(levels)
+        return
+    profile, proxy = falconer_profile(levels)
+    assert profile == sorted(want.items())
+    deepest = profile[len(profile) // 2:]
+    assert proxy == min(est for _, est in deepest)
+
+
+def test_falconer_rejects_duplicates_and_no_levels():
+    levels = middle_thirds_levels(6) + [LevelStats(9, LOG2, -9.0)] * 2
+    for call in (lambda: falconer_profile(levels),
+                 lambda: falconer_estimate(levels, 2)):
+        with pytest.raises(InapplicableLevelsError, match="duplicate level index 9"):
+            call()
+    for call in (lambda: falconer_profile([]), lambda: falconer_estimate([], 1)):
+        with pytest.raises(InapplicableLevelsError, match="no level admits"):
+            call()
+    with pytest.raises(InapplicableLevelsError, match="level 9 admits no estimate"):
+        falconer_estimate(middle_thirds_levels(6), 9)
+
+
+def test_falconer_profile_is_linear_in_levels():
+    # One pass up the levels takes milliseconds; a pass per k that
+    # re-reads every lower level takes seconds.
+    levels = middle_thirds_levels(4000)
+    start = time.perf_counter()
+    profile, _ = falconer_profile(levels)
+    assert time.perf_counter() - start < 0.5
+    assert len(profile) == 4000
 
 
 def test_paper_levels_simple_substitutions():
