@@ -19,6 +19,9 @@ from .errors import ResourceBudgetError
 
 Policy = Literal["full", "counting"]
 
+# Most nodes one tree may hold, its root included.
+NODE_BUDGET = 1_000_000
+
 
 @dataclass(frozen=True)
 class ExponentSequence:
@@ -175,7 +178,6 @@ def enumerate_tree(
     depth: int,
     branch_cap: Optional[int] = None,
     policy: Policy = "full",
-    node_budget: int = 1_000_000,
     count_leaves: bool = False,
 ) -> TreeNode:
     """Materialize the construction tree through ``depth`` expansions.
@@ -194,8 +196,6 @@ def enumerate_tree(
         raise ValueError("depth must be >= 0")
     if branch_cap is not None and branch_cap < 1:
         raise ValueError("branch_cap must be positive")
-    if node_budget < 1:
-        raise ValueError("node_budget must be positive")
     root = TreeNode(PrimeChain.seed(seed, exponents).last, 1)
     level, size = [root], 1
     for k in range(2, depth + count_leaves + 2):  # level k: the successors of ``level``
@@ -206,8 +206,8 @@ def enumerate_tree(
         for _, i in sorted((lo - hi, i) for i, (lo, hi) in enumerate(spans)):
             found[i] = sieve(*spans[i])
             size += 0 if leaves else len(found[i][:branch_cap])
-            if size > node_budget:
-                raise ResourceBudgetError(f"tree node budget {node_budget} exceeded")
+            if size > NODE_BUDGET:
+                raise ResourceBudgetError(f"tree node budget {NODE_BUDGET} exceeded")
         for i, node in enumerate(level):
             node.branching_total = found[i] if leaves else len(found[i])
             if not leaves:

@@ -123,7 +123,6 @@ def cmd_tree(args) -> int:
         args.depth,
         branch_cap=args.cap,
         policy=args.policy,
-        node_budget=args.node_budget,
         count_leaves=args.count_leaves,
     )
     for node in root.walk():
@@ -184,31 +183,48 @@ def cmd_dimension(args) -> int:
     return 0
 
 
+# The value flags of dimension with their defaults, and the flags each source
+# reads besides --out; a source given a flag it does not read exits 2.
+_DIMENSION_DEFAULTS = {
+    "seed": None, "c": None, "c_seq": None, "c_tail": None,
+    "kmax": 20, "delta": 0.01, "d1": 0.5, "Q": 0.5, "L": 1.0, "depth": 1,
+}
+_SEEDED = ("seed", "c", "c_seq", "c_tail")
+_SOURCE_READS = {
+    "the cantor-thirds preset": ("kmax",),
+    "the paper-simple preset": ("seed", "kmax", "delta", "d1"),
+    "the paper-general preset": (*_SEEDED, "kmax", "Q", "L"),
+    "the measured preset": (*_SEEDED, "depth"),
+    "--levels-file": (),
+    "--bound": _SEEDED,
+}
+
+
 def _dimension_source(args):
     """(levels, exponents) of the one level source, flags checked first; levels
     is None for --bound, exponents is None for cantor-thirds and levels files."""
     if sum(map(bool, (args.preset, args.levels_file, args.bound))) != 1:
         raise ValueError("give exactly one of --preset, --levels-file or --bound")
-    exponent_flags = args.c is not None or args.c_seq or args.c_tail is not None
-    if args.levels_file or args.preset == "cantor-thirds":
-        if args.seed is not None or exponent_flags:
-            raise ValueError(
-                "cantor-thirds and --levels-file take no --seed/--p, --c, "
-                "--c-seq or --c-tail"
-            )
-        if args.levels_file:
-            return _read_levels_file(args.levels_file), None
+    what = f"the {args.preset} preset" if args.preset else (
+        "--levels-file" if args.levels_file else "--bound")
+    unread = [
+        "--" + name.replace("_", "-") for name in _DIMENSION_DEFAULTS
+        if getattr(args, name) is not None and name not in _SOURCE_READS[what]
+    ]
+    if unread:
+        raise ValueError(f"{what} does not read {', '.join(unread)}")
+    for name, value in _DIMENSION_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+    if args.levels_file:
+        return _read_levels_file(args.levels_file), None
+    if args.preset == "cantor-thirds":
         return dimension.middle_thirds_levels(args.kmax), None
     if args.seed is None:
-        what = "--bound" if args.bound else f"the {args.preset} preset"
         raise ValueError(f"--seed (or --p) is required for {what}")
     if not primality.is_prime(args.seed):
         raise ValueError(f"seed {args.seed} is not prime")
     if args.preset == "paper-simple":
-        if exponent_flags:
-            raise ValueError(
-                "the paper-simple preset fixes c = 3; drop --c, --c-seq and --c-tail"
-            )
         levels = dimension.paper_levels_simple(
             args.seed, args.d1, args.delta, args.kmax
         )
@@ -217,7 +233,7 @@ def _dimension_source(args):
     if args.bound:
         return None, exponents
     if args.preset == "measured":
-        tree = chains.enumerate_tree(args.seed, exponents, args.depth, policy="full")
+        tree = chains.enumerate_tree(args.seed, exponents, args.depth)
         return dimension.measured_levels(tree, exponents), exponents
     params = dimension.DimensionParams(
         a1=args.seed, Q=args.Q, L=args.L, theta=exponents.theta, R=exponents.R
@@ -287,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree.add_argument("--depth", type=int, default=1)
     p_tree.add_argument("--cap", type=int, default=None)
     p_tree.add_argument("--policy", choices=["full", "counting"], default="full")
-    p_tree.add_argument("--node-budget", type=int, default=1_000_000)
     p_tree.add_argument("--count-leaves", action="store_true")
     p_tree.set_defaults(func=cmd_tree)
 
@@ -299,13 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dim.add_argument("--levels-file", default=None)
     p_dim.add_argument("--bound", choices=["proposition", "theorem"], default=None)
-    p_dim.add_argument("--kmax", type=int, default=20)
-    p_dim.add_argument("--delta", type=float, default=0.01)
-    p_dim.add_argument("--d1", type=float, default=0.5)
-    p_dim.add_argument("--Q", type=float, default=0.5)
-    p_dim.add_argument("--L", type=float, default=1.0)
+    # _dimension_source fills in the defaults once it has checked the flags.
+    p_dim.add_argument("--kmax", type=int, default=None)
+    p_dim.add_argument("--delta", type=float, default=None)
+    p_dim.add_argument("--d1", type=float, default=None)
+    p_dim.add_argument("--Q", type=float, default=None)
+    p_dim.add_argument("--L", type=float, default=None)
     p_dim.add_argument("--seed", "--p", type=int, default=None, help="seed prime a1")
-    p_dim.add_argument("--depth", type=int, default=1)
+    p_dim.add_argument("--depth", type=int, default=None)
     _add_exponent_flags(p_dim)
     p_dim.add_argument("--out", choices=["json", "csv"], default="csv")
     p_dim.set_defaults(func=cmd_dimension)

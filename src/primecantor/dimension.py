@@ -24,6 +24,8 @@ from .chains import ExponentSequence, TreeNode
 from .errors import InapplicableLevelsError, TruncatedTreeError, UncertifiedGapError
 
 LOG2 = math.log(2.0)
+# Bits of scale a certified sibling gap carries past its mean-value estimate.
+_GUARD_BITS = 48
 
 Source = Literal["analytic", "measured"]
 
@@ -89,12 +91,13 @@ def falconer_profile(
     includes that level; a level with m_k eps_k >= 1 gets no ratio, but its
     m_k still counts.  At the lowest index there is no branching product
     yet; the level's own log m_k is used as the numerator, i.e. the value
-    the ratio would take if that level's geometry repeated.
+    the ratio would take if that level's geometry repeated.  A repeated
+    index k raises ValueError.
     """
     by_k: Dict[int, LevelStats] = {}
     for stats in levels:
         if stats.k in by_k:
-            raise InapplicableLevelsError(f"duplicate level index {stats.k}")
+            raise ValueError(f"duplicate level index {stats.k}")
         by_k[stats.k] = stats
     profile: List[Tuple[int, float]] = []
     lowest = k = min(by_k, default=0)
@@ -266,16 +269,14 @@ def _min_sibling_gap(parents: Sequence[TreeNode], e: Fraction) -> Fraction:
     return min(_certified_gap(a + 1, a + d, e) for d, a in rightmost.items())
 
 
-def _certified_gap(
-    lower_label: int, upper_label: int, e: Fraction, guard_bits: int = 48
-) -> Fraction:
+def _certified_gap(lower_label: int, upper_label: int, e: Fraction) -> Fraction:
     """floor(2**s * upper**e) - ceil(2**s * lower**e), over 2**s, for e = 1/C.
 
-    The scale is the mean-value estimate of the gap plus guard_bits, which
+    The scale is the mean-value estimate of the gap plus _GUARD_BITS, which
     makes the bound positive for sibling labels (they differ by at least 2);
     a bound that is not raises UncertifiedGapError.
     """
-    s = max(4, slope_scale(upper_label, e) + guard_bits)
+    s = max(4, slope_scale(upper_label, e) + _GUARD_BITS)
     gap = (scaled_pow(upper_label, e, 1 << s)[0]
            - scaled_pow(lower_label, e, 1 << s)[1])
     if gap <= 0:

@@ -47,7 +47,7 @@ class InapplicableLevelsError(PrimeCantorError):
 
 
 class ResourceBudgetError(PrimeCantorError):
-    """Tree enumeration passed the configured node budget."""
+    """Tree enumeration passed its fixed node budget."""
 
 
 class EmptyCensusError(PrimeCantorError):

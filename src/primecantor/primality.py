@@ -15,17 +15,15 @@ prime 2 is added once by the callers.  A count is the number of set flags
 unless the base primes stop short of sqrt(hi), when the survivors are
 confirmed with ``is_prime``.  The first-prime search strikes with base
 primes up to a depth that grows with the size of lo.  Listing and counting
-read their width budget from ``PRIMECANTOR_WIDTH_LIMIT`` at each call
-(default ``DEFAULT_SIEVE.width_limit``); besides that and is_prime's
-remembered verdicts, the only shared state is one ascending table of base
-primes, grown in place by doubling as windows need it.
+refuse a window wider than ``WIDTH_LIMIT``.  Besides is_prime's remembered
+verdicts, the only shared state is one ascending table of base primes,
+grown in place by doubling as windows need it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -68,13 +66,14 @@ _PROVEN_CACHE_SIZE = 1024
 
 @dataclass(frozen=True)
 class SieveConfig:
-    """Work and memory budget for interval enumeration (DEFAULT_SIEVE only)."""
+    """Memory budget for interval enumeration (DEFAULT_SIEVE only)."""
 
     base_prime_limit: int = 1_000_000
-    width_limit: int = 200_000_000
 
 
 DEFAULT_SIEVE = SieveConfig()
+# Most integers one listing or counting call may sieve.
+WIDTH_LIMIT = 200_000_000
 
 # Odd integers per sieved segment (one flag byte each), for enumeration and
 # first-hit search alike, so a segment spans 2 * SEGMENT_SIZE integers.
@@ -112,7 +111,7 @@ def _base_primes(limit: int) -> List[int]:
     global _covered
     while _covered < limit:
         c = _covered
-        flags = _strike(c + 1, 2 * c, _base_table, math.isqrt(2 * c))
+        flags = _strike(c + 1, 2 * c, math.isqrt(2 * c))
         _base_table.extend(_survivors(c + 1, flags))
         _covered = 2 * c
     return _base_table
@@ -261,13 +260,13 @@ def is_probable_only(n: int) -> bool:
     return n >= DETERMINISTIC_LIMIT
 
 
-def _strike(lo: int, hi: int, base_primes: List[int], stop: int) -> bytearray:
+def _strike(lo: int, hi: int, stop: int) -> bytearray:
     """Flags for the odd integers lo, lo + 2, ... <= hi, for odd lo >= 3.
 
     Flag i stands for lo + 2i and is cleared when an odd prime p <= stop
-    from the ascending base_primes divides it and lies below it.  The first
-    odd multiple of p at or after lo is lo + ((p - lo) mod 2p), an odd
-    multiple of p less than 2p past lo, so its index is ((p - lo) mod 2p) / 2.
+    divides it and lies below it; the shared table must hold every such p.
+    The first odd multiple of p at or after lo is lo + ((p - lo) mod 2p),
+    less than 2p past lo, so its index is ((p - lo) mod 2p) / 2.
     These indices are computed for a chunk of primes at a time, and every
     strike copies from one zero buffer; a prime of k or more, for k flags,
     strikes at most one of them.
@@ -275,9 +274,9 @@ def _strike(lo: int, hi: int, base_primes: List[int], stop: int) -> bytearray:
     k = ((hi - lo) >> 1) + 1
     flags = bytearray([1]) * k
     zero = memoryview(bytes(k // 3 + 1))
-    end = bisect_right(base_primes, stop)
+    end = bisect_right(_base_table, stop)
     for j in range(1, end, _STRIKE_CHUNK):
-        chunk = base_primes[j : min(j + _STRIKE_CHUNK, end)]
+        chunk = _base_table[j : min(j + _STRIKE_CHUNK, end)]
         starts = [(p - lo) % (p + p) >> 1 for p in chunk]
         if chunk[-1] >= lo:
             # A base prime inside the window is not struck: start at p * p.
@@ -305,10 +304,10 @@ def _sieved(lo: int, hi: int, base_limit: int) -> Iterator[Tuple[int, bytearray]
     if lo > hi:
         return
     stop = min(math.isqrt(hi), base_limit)
-    base_primes = _base_primes(stop)
+    _base_primes(stop)
     for start in range(lo, hi + 1, 2 * SEGMENT_SIZE):
         end = min(start + 2 * SEGMENT_SIZE - 2, hi)
-        flags = _strike(start, end, base_primes, stop)
+        flags = _strike(start, end, stop)
         yield start, flags
         # Emptied before the next strike, so one segment's flags are alive
         # at a time: callers must be done with them before they resume.
@@ -335,38 +334,21 @@ def _primes(lo: int, hi: int, base_limit: int) -> Iterator[int]:
         yield from filter(is_prime, survivors) if need_check else survivors
 
 
-def _width_limit() -> int:
-    """The width budget: PRIMECANTOR_WIDTH_LIMIT if set, else the default."""
-    budget = os.environ.get("PRIMECANTOR_WIDTH_LIMIT")
-    if not budget:
-        return DEFAULT_SIEVE.width_limit
-    try:
-        width_limit = int(budget)
-        if width_limit < 1:
-            raise ValueError
-    except ValueError:
-        raise ValueError(
-            f"PRIMECANTOR_WIDTH_LIMIT must be a positive integer, got {budget!r}"
-        ) from None
-    return width_limit
-
-
 def _check_window(lo: int, hi: int) -> None:
     """Raise unless [lo, hi] is a nonempty window within the width budget."""
     if lo > hi:
         raise ValueError(f"prime enumeration requires lo <= hi, got [{lo}, {hi}]")
-    width_limit = _width_limit()
-    if hi - lo + 1 > width_limit:
+    if hi - lo + 1 > WIDTH_LIMIT:
         raise RangeTooLargeError(
-            f"interval width {hi - lo + 1} exceeds budget {width_limit}"
+            f"interval width {hi - lo + 1} exceeds budget {WIDTH_LIMIT}"
         )
 
 
 def primes_in_range(lo: int, hi: int) -> List[int]:
     """Exactly the primes p with lo <= p <= hi, ascending.
 
-    Raises ValueError when lo > hi or PRIMECANTOR_WIDTH_LIMIT is invalid,
-    and RangeTooLargeError when the width exceeds the budget.
+    Raises ValueError when lo > hi, and RangeTooLargeError when the width
+    exceeds WIDTH_LIMIT.
     """
     _check_window(lo, hi)
     return list(_primes(lo, hi, DEFAULT_SIEVE.base_prime_limit))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primecantor import primality
+from primecantor import chains, primality
 from primecantor.chains import (
     ExponentSequence,
     PrimeChain,
@@ -178,17 +178,18 @@ def test_enumerate_tree_count_leaves():
         assert leaf.truncated == (leaf.branching_total > 0)
 
 
-def test_enumerate_tree_budget():
+def test_enumerate_tree_budget(monkeypatch):
+    monkeypatch.setattr(chains, "NODE_BUDGET", 10)
     es = ExponentSequence.constant(3)
-    with pytest.raises(ResourceBudgetError):
-        enumerate_tree(2, es, 2, node_budget=10)
+    with pytest.raises(ResourceBudgetError, match="budget 10 exceeded"):
+        enumerate_tree(2, es, 2)
 
 
 def test_enumerate_tree_over_budget_level_fails_before_sieving(monkeypatch):
     # The leaves under 11, 13, 17, 19, 23 have widths 397, 547, 919, 1141
     # and 1657, so a budget of 1000 must stop the counting pass at its first
     # (widest) interval rather than after three completed counts.
-    monkeypatch.setenv("PRIMECANTOR_WIDTH_LIMIT", "1000")
+    monkeypatch.setattr(primality, "WIDTH_LIMIT", 1000)
     counted = []
     count = primality.count_primes_in_range
 

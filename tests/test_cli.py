@@ -11,6 +11,7 @@ import pytest
 from sympy import nextprime
 
 import primecantor
+from primecantor import chains, primality
 from primecantor.chains import admissible_interval
 from primecantor.cli import main
 from primecantor.dimension import proposition_bound
@@ -274,9 +275,23 @@ LEVELS = object()  # stands for the path of a valid levels file
         ("--levels-file", LEVELS, "--c", "2"),
         ("--preset", "measured", "--bound", "theorem", "--seed", "11", "--c", "2"),
         ("--preset", "cantor-thirds", "--levels-file", LEVELS),
+        ("--preset", "cantor-thirds", "--kmax", "3", "--depth", "9", "--d1", "4"),
+        ("--levels-file", LEVELS, "--kmax", "5"),
+        ("--preset", "paper-simple", "--p", "11", "--Q", "0.7"),
+        ("--preset", "paper-simple", "--p", "11", "--depth", "2"),
+        ("--preset", "paper-general", "--p", "1009", "--c", "2", "--delta", "0.5"),
+        ("--preset", "paper-general", "--p", "1009", "--c", "2", "--d1", "4"),
+        ("--preset", "measured", "--seed", "11", "--c", "2", "--kmax", "5"),
+        ("--preset", "measured", "--seed", "11", "--c", "2", "--Q", "7",
+         "--delta", "0.5"),
+        ("--bound", "theorem", "--seed", "11", "--c", "2", "--kmax", "5"),
+        ("--bound", "proposition", "--seed", "11", "--c", "2", "--L", "2"),
     ],
     ids=["cantor-thirds-c", "cantor-thirds-seed", "levels-file-c",
-         "preset-and-bound", "preset-and-levels-file"],
+         "preset-and-bound", "preset-and-levels-file", "cantor-thirds-depth-d1",
+         "levels-file-kmax", "paper-simple-Q", "paper-simple-depth",
+         "paper-general-delta", "paper-general-d1", "measured-kmax",
+         "measured-Q-delta", "bound-kmax", "bound-L"],
 )
 def test_dimension_rejects_flags_its_source_ignores(tmp_path, capsys, flags):
     path = tmp_path / "levels.csv"
@@ -287,6 +302,28 @@ def test_dimension_rejects_flags_its_source_ignores(tmp_path, capsys, flags):
     assert code == 2
     assert out == ""
     assert_one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--preset", "cantor-thirds", "--kmax", "3"),
+        ("--levels-file", LEVELS),
+        ("--preset", "paper-simple", "--p", "11", "--kmax", "4", "--delta", "0.1",
+         "--d1", "0.7"),
+        ("--preset", "paper-general", "--p", "11", "--c-seq", "3,5/2",
+         "--c-tail", "2", "--kmax", "6", "--Q", "0.7", "--L", "0.5"),
+        ("--preset", "measured", "--p", "2", "--c", "3", "--depth", "1"),
+        ("--bound", "theorem", "--p", "11", "--c-seq", "3,5/2", "--c-tail", "2"),
+    ],
+    ids=["cantor-thirds", "levels-file", "paper-simple", "paper-general",
+         "measured", "bound"],
+)
+def test_dimension_accepts_every_flag_its_source_reads(tmp_path, capsys, flags):
+    path = tmp_path / "levels.csv"
+    path.write_text("k,log_m,log_eps\n1,0.7,-1.1\n2,0.7,-2.2\n")
+    argv = [str(path) if flag is LEVELS else flag for flag in flags]
+    assert run(capsys, "dimension", *argv, "--out", "json")[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -440,7 +477,7 @@ def test_survey_matomaki_empty_census_errors(capsys):
 
 def test_width_limit_env_caps_tree_sieving(capsys, monkeypatch):
     # The root's admissible interval [8, 26] holds 19 integers.
-    monkeypatch.setenv("PRIMECANTOR_WIDTH_LIMIT", "10")
+    monkeypatch.setattr(primality, "WIDTH_LIMIT", 10)
     code, out, err = run(capsys, "tree", "--seed", "2", "--c", "3", "--depth", "1")
     assert code == 1
     assert out == ""
@@ -448,14 +485,11 @@ def test_width_limit_env_caps_tree_sieving(capsys, monkeypatch):
     assert "budget 10" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-5"])
-def test_width_limit_env_rejects_invalid_values(capsys, monkeypatch, value):
-    monkeypatch.setenv("PRIMECANTOR_WIDTH_LIMIT", value)
-    code, out, err = run(capsys, "tree", "--seed", "2", "--c", "3", "--depth", "1")
-    assert code == 2
-    assert out == ""
-    assert_one_error_line(err)
-    assert "PRIMECANTOR_WIDTH_LIMIT" in err
+def test_tree_has_no_node_budget_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tree", "--seed", "2", "--c", "3", "--node-budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --node-budget 5" in capsys.readouterr().err
 
 
 def test_import_leaves_out_process_pools():
@@ -493,9 +527,8 @@ def assert_one_error_line(err):
         (("dimension", "--preset", "paper-simple", "--p", "4"), 2),
         (("dimension", "--preset", "paper-general", "--p", "4", "--c", "2"), 2),
         (("dimension", "--bound", "proposition", "--p", "4", "--c", "2"), 2),
-        (("tree", "--seed", "2", "--c", "3", "--depth", "2",
-          "--node-budget", "10"), 1),
-        (("tree", "--seed", "2", "--c", "3", "--node-budget", "-5"), 2),
+        # Its depth-2 tree holds 541 nodes, over the budget of 10 set below.
+        (("tree", "--seed", "2", "--c", "3", "--depth", "2"), 1),
         # delta outside [0, 1) would give a "dimension" above 1 (-0.5) or no
         # estimate at all (1.5).
         (("dimension", "--preset", "paper-simple", "--p", "11",
@@ -511,11 +544,13 @@ def assert_one_error_line(err):
          "digits-below-integer-part", "no-preset", "no-p",
          "paper-simple-fixes-c", "no-seed", "paper-simple-composite-seed",
          "paper-general-composite-seed", "bound-composite-seed",
-         "tree-node-budget", "tree-negative-node-budget",
+         "tree-node-budget",
          "negative-delta", "delta-above-one", "bound-huge-c",
          "paper-general-huge-c"],
 )
-def test_errors_exit_with_one_line(capsys, argv, want):
+def test_errors_exit_with_one_line(capsys, monkeypatch, argv, want):
+    # Only the tree-node-budget row builds a tree of more than its root.
+    monkeypatch.setattr(chains, "NODE_BUDGET", 10)
     code, out, err = run(capsys, *argv)
     assert code == want
     assert out == ""
@@ -541,8 +576,9 @@ def test_malformed_c_seq_is_a_usage_error(capsys, argv, head):
 @pytest.mark.parametrize(
     "row",
     [None, "2,0.69,not-a-float", "2,0.69", "2,nan,-5.0", "2,0.69,inf",
-     "2,0.69,-2.2,0.505928607"],
-    ids=["missing-file", "bad-float", "short-row", "nan", "inf", "bad-source"],
+     "2,0.69,-2.2,0.505928607", "1,0.69,-2.2"],
+    ids=["missing-file", "bad-float", "short-row", "nan", "inf", "bad-source",
+         "duplicate-k"],
 )
 def test_dimension_levels_file_errors(tmp_path, capsys, row):
     path = tmp_path / "levels.csv"

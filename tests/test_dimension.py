@@ -4,6 +4,7 @@ import math
 import time
 from fractions import Fraction
 from itertools import accumulate, pairwise
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -86,7 +87,7 @@ def test_falconer_estimate_validation():
         falconer_estimate([LevelStats(1, math.log(1.5), -1.0)], 1)
     with pytest.raises(InapplicableLevelsError):
         falconer_estimate([LevelStats(1, LOG2, 0.0)], 1)  # m * eps >= 1
-    with pytest.raises(InapplicableLevelsError):
+    with pytest.raises(ValueError, match="duplicate level index 3"):
         falconer_estimate(levels + [LevelStats(3, LOG2, -9.0)], 3)
 
 
@@ -177,7 +178,7 @@ def test_falconer_rejects_duplicates_and_no_levels():
     levels = middle_thirds_levels(6) + [LevelStats(9, LOG2, -9.0)] * 2
     for call in (lambda: falconer_profile(levels),
                  lambda: falconer_estimate(levels, 2)):
-        with pytest.raises(InapplicableLevelsError, match="duplicate level index 9"):
+        with pytest.raises(ValueError, match="duplicate level index 9"):
             call()
     for call in (lambda: falconer_profile([]), lambda: falconer_estimate([], 1)):
         with pytest.raises(InapplicableLevelsError, match="no level admits"):
@@ -330,12 +331,13 @@ def test_certified_gap_matches_root_enclosures(a, d, big_c, guard, power):
     log2_gap = -math.log2(c_f) + (1.0 / c_f - 1.0) * (b.bit_length() - 1)
     width = Fraction(1, 1 << max(4, int(-log2_gap) + guard))
     want = root_enclosure(b, big_c, width).lo - root_enclosure(a + 1, big_c, width).hi
-    assert _certified_gap(a + 1, b, 1 / big_c, guard) == want > 0
+    with mock.patch.object(dimension, "_GUARD_BITS", guard):
+        assert _certified_gap(a + 1, b, 1 / big_c) == want > 0
 
 
 def test_certified_gap_rejects_an_empty_gap():
     with pytest.raises(UncertifiedGapError):
-        _certified_gap(5, 5, Fraction(1, 4), 48)
+        _certified_gap(5, 5, Fraction(1, 4))
 
 
 @st.composite

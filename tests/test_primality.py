@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import isprime as sympy_isprime, nextprime, prevprime, primerange
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from primecantor import primality
 from primecantor.errors import NoPrimeInIntervalError, RangeTooLargeError
@@ -171,7 +172,7 @@ def test_primes_in_range_rejects_bad_bounds():
 
 
 def test_primes_in_range_width_budget(monkeypatch):
-    monkeypatch.setenv("PRIMECANTOR_WIDTH_LIMIT", "10")
+    monkeypatch.setattr(primality, "WIDTH_LIMIT", 10)
     with pytest.raises(RangeTooLargeError):
         primes_in_range(0, 100)
     with pytest.raises(RangeTooLargeError):
@@ -179,17 +180,9 @@ def test_primes_in_range_width_budget(monkeypatch):
     assert primes_in_range(8, 17) == [11, 13, 17]
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-5"])
-def test_width_budget_rejects_invalid_env_values(monkeypatch, value):
-    monkeypatch.setenv("PRIMECANTOR_WIDTH_LIMIT", value)
-    for fn in (primes_in_range, count_primes_in_range):
-        with pytest.raises(ValueError, match="PRIMECANTOR_WIDTH_LIMIT"):
-            fn(8, 26)
-
-
 def test_first_prime_search_has_no_width_budget(monkeypatch):
     # [8, 26] holds 19 integers, more than the budget of 10.
-    monkeypatch.setenv("PRIMECANTOR_WIDTH_LIMIT", "10")
+    monkeypatch.setattr(primality, "WIDTH_LIMIT", 10)
     assert first_prime_in_range(8, 26) == 11
 
 
@@ -484,6 +477,17 @@ def test_is_prime_matches_sympy(n):
     assert is_prime(n) == sympy_isprime(n)
     p = nextprime(n)
     assert is_prime(p) and is_probable_only(p) == (p >= DETERMINISTIC_LIMIT)
+
+
+def test_strong_lucas_test_matches_sympy():
+    # Every odd non-square n in [13, 10**5), the strong Lucas pseudoprimes
+    # 5459, 5777, 10877, ... (OEIS A217255) among them.  Below 13 Selfridge's
+    # D can be +-n (5, 11), where this test says False; is_prime runs it only
+    # above DETERMINISTIC_LIMIT.
+    for n in range(13, 10**5, 2):
+        if math.isqrt(n) ** 2 != n:
+            assert primality._strong_lucas_prp(n) == is_strong_lucas_prp(n), n
+    assert all(primality._strong_lucas_prp(n) for n in (5459, 5777, 10877))
 
 
 def _first_above_limit(make, k, count):
