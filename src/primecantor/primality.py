@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator, List, Tuple
@@ -81,23 +81,27 @@ SEGMENT_SIZE = 1 << 18
 # Base primes whose first strike indices are computed in one comprehension;
 # chunks keep the scratch list small when the table holds 78k primes.
 _STRIKE_CHUNK = 2048
+# Strikes of fewer flags than this take an exact-length zero run from a list
+# built once per _strike call, instead of slicing one from the zero buffer.
+_SHORT_RUN = 64
 # Base-prime depth of the first-hit search.  A search from lo strikes one
 # segment with the pi(P) base primes up to P, then tests the survivors in
 # front of the first prime, each composite with one base-2 Miller-Rabin
 # test.  The next prime lies about ln(lo) past lo, and a share 2e^-g / ln P
 # of the odd integers survives (Mertens, g = Euler's constant), so the
 # search tests about e^-g ln(lo) / ln P survivors.  At b = lo.bit_length()
-# one base prime costs c = 0.2 + 0.0004 b microseconds (its strike offset is
-# a big-integer remainder) and one test T ~ b**3 (0.45 ms at 450 bits, 18 ms
-# at 1790 bits, Python 3.11 on x86-64), so the cost pi(P) c + T e^-g ln(lo)
-# / ln P is least where P ln P ~ e^-g ln(lo) T / c, which grows with about
-# b**3.  P = b**3 / 2**13 is within 2 % of that least modelled cost from 512
-# to 2500 bits (the cost is flat near it), and it is 25 % below the cost at
-# a fixed 2**14 at 1790 bits.  Below 512 bits it falls under the floor
-# 2**14, where the strike of the segment's small primes costs more than the
-# few tests it saves; from 2017 bits on it is capped at enumeration's
-# base_prime_limit, so the shared table never grows past the 2**20 that
-# listing already grows it to.
+# one base prime costs c = 0.18 + 0.00028 b microseconds (its strike offset
+# is a big-integer remainder; 0.31 / 0.47 / 0.69 us at 450 / 1000 / 1790
+# bits) and one test T ~ b**3 (0.45 ms at 450 bits, 18 ms at 1790 bits,
+# Python 3.11 on x86-64), so the cost pi(P) c + T e^-g ln(lo) / ln P is
+# least where P ln P ~ e^-g ln(lo) T / c, which grows with about b**3.
+# P = b**3 / 2**13 is within 4 % of that least modelled cost from 512 to
+# 2500 bits (the cost is flat near the optimum, which lies 1.2-1.35 times
+# deeper), and it is 25 % below the cost at a fixed 2**14 at 1790 bits.
+# Below 512 bits it falls under the floor 2**14, where the strike of the
+# segment's small primes costs more than the few tests it saves; from 2017
+# bits on it is capped at enumeration's base_prime_limit, so the shared
+# table never grows past the 2**20 that listing already grows it to.
 _FIRST_HIT_BASE_FLOOR = 1 << 14
 
 # Every prime <= _covered, ascending.  _covered starts at 4 and doubles; step
@@ -141,10 +145,12 @@ def _miller_rabin_witness(n: int, a: int, d: int, s: int) -> bool:
 def _strong_lucas_prp(n: int) -> bool:
     """Strong Lucas probable-prime test with Selfridge's parameter choice."""
     # Find D = 5, -7, 9, -11, ... with Jacobi(D, n) = -1.
+    # A D that n divides (D = 5 for n = 5, -11 for n = 11) says nothing
+    # about n, so the search moves past it, as sympy's does.
     d = 5
     while True:
         j = _jacobi(d, n)
-        if j == 0:
+        if j == 0 and d % n:
             return False
         if j == -1:
             break
@@ -265,29 +271,48 @@ def _strike(lo: int, hi: int, stop: int) -> bytearray:
 
     Flag i stands for lo + 2i and is cleared when an odd prime p <= stop
     divides it and lies below it; the shared table must hold every such p.
-    The first odd multiple of p at or after lo is lo + ((p - lo) mod 2p),
-    less than 2p past lo, so its index is ((p - lo) mod 2p) / 2.
-    These indices are computed for a chunk of primes at a time, and every
-    strike copies from one zero buffer; a prime of k or more, for k flags,
-    strikes at most one of them.
+    The odd multiples of p at or after lo are lo + 2i for i = (p - lo) / 2
+    mod p, i + p, ...; these first indices are computed for a chunk of
+    primes at a time.  For k flags, a prime below k clears its
+    n = (k - 1 - i) // p + 1 flags with one slice assignment of n zero
+    bytes, taken from a list of exact-length runs when n < _SHORT_RUN; a
+    prime of k or more clears at most one flag, in a loop of its own.
+    The zero runs are bytearrays on purpose: a bytearray's slice assignment
+    first copies any other value (bytes, a memoryview) into a new
+    bytearray, which nearly doubles the cost of a short strike.
     """
     k = ((hi - lo) >> 1) + 1
     flags = bytearray([1]) * k
-    zero = memoryview(bytes(k // 3 + 1))
+    zero = bytearray(k // 3 + 1)
+    runs = [zero[:n] for n in range(_SHORT_RUN)]
     end = bisect_right(_base_table, stop)
-    for j in range(1, end, _STRIKE_CHUNK):
-        chunk = _base_table[j : min(j + _STRIKE_CHUNK, end)]
-        starts = [(p - lo) % (p + p) >> 1 for p in chunk]
-        if chunk[-1] >= lo:
-            # A base prime inside the window is not struck: start at p * p.
-            starts = [max(i, (p * p - lo) >> 1) for p, i in zip(chunk, starts)]
+    # Index 0 holds 2, which strikes nothing; primes from index single on are >= k.
+    single = min(max(bisect_left(_base_table, k), 1), end)
+    for chunk, starts in _strike_starts(lo, k, 1, single):
         for p, i in zip(chunk, starts):
+            n = (k - 1 - i) // p + 1
+            flags[i::p] = runs[n] if n < _SHORT_RUN else zero[:n]
+    for _, starts in _strike_starts(lo, k, single, end):
+        for i in starts:
             if i < k:
-                if p < k:
-                    flags[i::p] = zero[: (k - 1 - i) // p + 1]
-                else:
-                    flags[i] = 0
+                flags[i] = 0
     return flags
+
+
+def _strike_starts(
+    lo: int, k: int, first: int, end: int
+) -> Iterator[Tuple[List[int], List[int]]]:
+    """(primes, first strike indices) per chunk of _base_table[first:end].
+
+    A base prime p >= lo is not struck, so its index starts at that of
+    p * p, capped at k for a p * p past the last of the k flags.
+    """
+    for j in range(first, end, _STRIKE_CHUNK):
+        chunk = _base_table[j : min(j + _STRIKE_CHUNK, end)]
+        starts = [((p - lo) >> 1) % p for p in chunk]
+        if chunk[-1] >= lo:
+            starts = [min(max(i, (p * p - lo) >> 1), k) for p, i in zip(chunk, starts)]
+        yield chunk, starts
 
 
 def _sieved(lo: int, hi: int, base_limit: int) -> Iterator[Tuple[int, bytearray]]:

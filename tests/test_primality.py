@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from sympy import isprime as sympy_isprime, nextprime, prevprime, primerange
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from primecantor import primality
+from primecantor.chains import counting_subinterval
 from primecantor.errors import NoPrimeInIntervalError, RangeTooLargeError
 from primecantor.primality import (
     DEFAULT_SIEVE,
@@ -382,9 +384,18 @@ ORACLE_WINDOWS = {
                for i in (0, 1) for j in (0, 1) for w in (2, 300)],
     "width-1": [(n, n) for n in (2, 3, 4, 9, 25, 97, 1001, 7919, 10**9 + 7, 10**9 + 9,
                                  10**12 + 39, 10**12 + 40, _FAR_LO + 1)],
-    # Windows that hold their own base primes: lo <= sqrt(hi).
-    "own-base-primes": [(1, 10**5), (2, 10**5 + 1), (3, 999), (5, 1000), (100, 10**4 + 7)],
+    # Windows that hold their own base primes: lo <= sqrt(hi).  The last one
+    # spans two segments, and the base primes 727 to 1021 have their squares
+    # past the end of the first.
+    "own-base-primes": [(1, 10**5), (2, 10**5 + 1), (3, 999), (5, 1000), (100, 10**4 + 7),
+                        (3, 2 * _SPAN)],
     "far": [(_FAR_LO, _FAR_LO + 1000), (_FAR_LO + 1, _FAR_LO + 2001)],
+    # Matomaki census windows [p**c, p**c + p**(c-1)].  At c = 2 the base
+    # primes reach p, about twice the window's p / 2 odd flags, so about
+    # half of them strike one flag or none.  c = 5/2 stays near 10**3: its
+    # window at 2 * 10**4 is 2.8e6 wide, slow for sympy's primerange.
+    "census": [counting_subinterval(p, c) for p in (997, 1009, 19997, 20011)
+               for c in (Fraction(2), Fraction(5, 2)) if c == 2 or p < 10**4],
 }
 
 
@@ -480,11 +491,10 @@ def test_is_prime_matches_sympy(n):
 
 
 def test_strong_lucas_test_matches_sympy():
-    # Every odd non-square n in [13, 10**5), the strong Lucas pseudoprimes
-    # 5459, 5777, 10877, ... (OEIS A217255) among them.  Below 13 Selfridge's
-    # D can be +-n (5, 11), where this test says False; is_prime runs it only
-    # above DETERMINISTIC_LIMIT.
-    for n in range(13, 10**5, 2):
+    # Every odd non-square n in [3, 10**5), the strong Lucas pseudoprimes
+    # 5459, 5777, 10877, ... (OEIS A217255) among them, and 5 and 11, whose
+    # first Selfridge candidate D divisible by n is passed over.
+    for n in range(3, 10**5, 2):
         if math.isqrt(n) ** 2 != n:
             assert primality._strong_lucas_prp(n) == is_strong_lucas_prp(n), n
     assert all(primality._strong_lucas_prp(n) for n in (5459, 5777, 10877))
