@@ -29,7 +29,7 @@ def main():
 
     es = ExponentSequence.constant(2)
     for a1 in (1009, 100003, 1000003):
-        params = DimensionParams(a1=a1, theta=1, R=2)
+        params = DimensionParams(a1=a1)
         levels = paper_levels_general(params, es, 24)
         est = falconer_estimate(levels, 24)
         bound = proposition_bound(a1, 2)

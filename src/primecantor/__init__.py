@@ -3,7 +3,7 @@ Hausdorff-dimension lower bounds."""
 
 __version__ = "0.1.0"
 
-from .certified import Bracket, Rational, pow_ceil, pow_floor, root_enclosure
+from .certified import Bracket, Rational, pow_ceil
 from .chains import (
     ExponentSequence,
     PrimeChain,
@@ -12,7 +12,6 @@ from .chains import (
     counting_subinterval,
     enumerate_tree,
     extend_greedy,
-    successors,
 )
 from .constant import bracket_for_chain, digits, verify_representation
 from .dimension import (
@@ -58,10 +57,7 @@ __all__ = [
     "paper_levels_general",
     "paper_levels_simple",
     "pow_ceil",
-    "pow_floor",
     "primes_in_range",
     "proposition_bound",
-    "root_enclosure",
-    "successors",
     "verify_representation",
 ]

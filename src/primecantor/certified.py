@@ -124,15 +124,6 @@ def slope_scale(x: int, e: Fraction) -> int:
     return int(math.log2(c_f) - (1.0 / c_f - 1.0) * (x.bit_length() - 1))
 
 
-def scale_for_width(max_width: Fraction) -> int:
-    """Smallest s with 2**-s <= max_width."""
-    if max_width <= 0:
-        raise ValueError("max_width must be positive")
-    # 2**-s <= p/q  <=>  2**s >= ceil(q/p).
-    p, q = max_width.numerator, max_width.denominator
-    return (-(-q // p) - 1).bit_length()
-
-
 def root_enclosure(a: int, big_c: Rational, max_width: Rational) -> Bracket:
     """A Bracket containing a ** (1/C) with width <= max_width.
 
@@ -142,10 +133,14 @@ def root_enclosure(a: int, big_c: Rational, max_width: Rational) -> Bracket:
     """
     if a < 1:
         raise ValueError("root_enclosure requires a >= 1")
-    big_c = Fraction(big_c)
+    big_c, max_width = Fraction(big_c), Fraction(max_width)
     if big_c < 1:
         raise ValueError("root_enclosure requires C >= 1")
-    # An exact root gives equal floor and ceiling.
-    s = scale_for_width(Fraction(max_width))
+    if max_width <= 0:
+        raise ValueError("max_width must be positive")
+    # The smallest s with 2**-s <= p/q, that is 2**s >= ceil(q/p).  An exact
+    # root gives equal floor and ceiling.
+    p, q = max_width.numerator, max_width.denominator
+    s = (-(-q // p) - 1).bit_length()
     f, c = scaled_pow(a, 1 / big_c, 1 << s)
     return Bracket(dyadic(f, s), dyadic(c, s))

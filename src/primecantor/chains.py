@@ -122,12 +122,6 @@ def counting_subinterval(a: int, c: Rational) -> Tuple[int, int]:
     return pow_ceil(a, c), scaled_pow(a, c - 1, a + 1)[0]
 
 
-def successors(chain: PrimeChain, policy: Policy = "full") -> List[int]:
-    """All primes extending the chain, ascending, under the given policy."""
-    lo, hi = _successor_interval(chain.last, chain.next_exponent(), policy)
-    return primality.primes_in_range(lo, hi)
-
-
 def _successor_interval(a: int, c: Fraction, policy: Policy) -> Tuple[int, int]:
     if policy == "full":
         return admissible_interval(a, c)

@@ -136,8 +136,13 @@ def cmd_tree(args) -> int:
 
 def cmd_dimension(args) -> int:
     levels, exponents = _dimension_source(args)
-    # Both bounds share one closed form; sources without a seed have none.
-    bound = exponents and dimension.proposition_bound(args.seed, exponents.R)
+    # Both bounds share one closed form, which like the analytic levels needs
+    # theta > 0; sources without a seed have none.
+    bound = None
+    if exponents is not None and exponents.theta > 0:
+        bound = dimension.proposition_bound(args.seed, exponents.R)
+    elif levels is None:
+        raise ValueError("the analytic level formulas need theta > 0")
     if levels is None:
         if args.out == "json":
             config = {"bound": args.bound, "p": args.seed, "R": str(exponents.R)}
@@ -235,9 +240,7 @@ def _dimension_source(args):
     if args.preset == "measured":
         tree = chains.enumerate_tree(args.seed, exponents, args.depth)
         return dimension.measured_levels(tree, exponents), exponents
-    params = dimension.DimensionParams(
-        a1=args.seed, Q=args.Q, L=args.L, theta=exponents.theta, R=exponents.R
-    )
+    params = dimension.DimensionParams(a1=args.seed, Q=args.Q, L=args.L)
     return dimension.paper_levels_general(params, exponents, args.kmax), exponents
 
 

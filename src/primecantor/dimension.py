@@ -52,6 +52,7 @@ class DimensionParams:
     a1: int
     Q: float = 0.5
     L: float = 1.0
+    # No formula reads theta or R; they stay while bench/probes.py sets them.
     theta: Fraction = Fraction(1)
     R: Fraction = Fraction(3)
 

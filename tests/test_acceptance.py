@@ -15,9 +15,9 @@ from primecantor.chains import (
     ExponentSequence,
     PrimeChain,
     admissible_interval,
+    counting_subinterval,
     enumerate_tree,
     extend_greedy,
-    successors,
 )
 from primecantor.constant import digits
 from primecantor.dimension import (
@@ -99,10 +99,8 @@ def test_criterion_1_mills_regression():
 # --- 2. successor enumeration ---------------------------------------------
 
 def test_criterion_2_branching_counts():
-    es = ExponentSequence.constant(3)
-    chain = PrimeChain.seed(2, es)
-    full = successors(chain, "full")
-    counting = successors(chain, "counting")
+    full = primes_in_range(*admissible_interval(2, 3))
+    counting = primes_in_range(*counting_subinterval(2, 3))
     ok = full == [11, 13, 17, 19, 23] and counting == [11]
     assert report(2, "successor counts under both policies", ok,
                   f"full={full}, counting={counting}")
@@ -231,8 +229,7 @@ def test_criterion_6_general_bound():
     details = []
     ok = True
     for a1 in (10**3 + 9, 10**6 + 3):
-        params = DimensionParams(a1=a1, Q=Q, L=L,
-                                 theta=Fraction(1), R=Fraction(2))
+        params = DimensionParams(a1=a1, Q=Q, L=L)
         levels = paper_levels_general(params, es, k_met)
         ests = [falconer_estimate(levels, j) for j in range(k, k_met + 1)]
         got, got_met = ests[0], ests[-1]

@@ -1,4 +1,4 @@
-"""Chain intervals, successor enumeration, greedy extension, tree building."""
+"""Chain intervals, greedy extension, tree building and its successors."""
 
 from fractions import Fraction
 
@@ -13,7 +13,6 @@ from primecantor.chains import (
     counting_subinterval,
     enumerate_tree,
     extend_greedy,
-    successors,
 )
 from primecantor.constant import verify_representation
 from primecantor.errors import RangeTooLargeError, ResourceBudgetError
@@ -92,21 +91,19 @@ def test_adjacent_admissible_intervals_tile(a, c):
 
 
 def test_successors_examples():
-    es = ExponentSequence.constant(3)
-    chain = PrimeChain.seed(2, es)
-    assert successors(chain, "full") == [11, 13, 17, 19, 23]
-    assert successors(chain, "counting") == [11]
-    two_eleven = chain.extended(11)
-    assert successors(two_eleven, "full")[0] == 1361
+    # A chain's successors are the primes of its policy's window.
+    assert primes_in_range(*admissible_interval(2, 3)) == [11, 13, 17, 19, 23]
+    assert primes_in_range(*counting_subinterval(2, 3)) == [11]
+    assert primes_in_range(*admissible_interval(11, 3))[0] == 1361
     with pytest.raises(ValueError):
-        successors(chain, "bogus")
+        enumerate_tree(2, ExponentSequence.constant(3), 1, policy="bogus")
 
 
 def test_successors_match_direct_sieve():
     es = ExponentSequence.constant(Fraction(5, 2))
-    chain = PrimeChain.seed(3, es)
+    root = enumerate_tree(3, es, 1)
     lo, hi = admissible_interval(3, Fraction(5, 2))
-    assert successors(chain, "full") == primes_in_range(lo, hi)
+    assert [child.label for child in root.children] == primes_in_range(lo, hi)
 
 
 def test_extend_greedy_mills():
@@ -204,18 +201,17 @@ def test_enumerate_tree_over_budget_level_fails_before_sieving(monkeypatch):
 
 
 def test_tree_invariants():
-    # Each node's children are the successors of the chain along its root
-    # path under the tree's policy, inside that policy's window, so a
-    # non-constant sequence checks that level k expands with c_{k+1}.
+    # Each node's children are the primes of the tree policy's window for the
+    # chain along its root path, so a non-constant sequence checks that level
+    # k expands with c_{k+1}.
     windows = {"full": admissible_interval, "counting": counting_subinterval}
 
     def check(node, chain, policy):
         assert (node.label, node.level) == (chain.last, len(chain))
         labels = [c.label for c in node.children]
         if node.level <= 2:
-            assert labels == successors(chain, policy)
             lo, hi = windows[policy](node.label, chain.next_exponent())
-            assert all(lo <= p <= hi for p in labels)
+            assert labels == primes_in_range(lo, hi)
             assert node.branching_total == len(labels) and not node.truncated
         else:
             assert labels == [] and node.branching_total == 0

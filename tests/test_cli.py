@@ -262,6 +262,13 @@ def test_dimension_theorem_bound_only_for_seeded_levels(capsys):
     )
     assert code == 0
     assert json.loads(out)["theorem_bound"] == proposition_bound(11, 3)
+    # c_1 = 1 gives theta = 0, where the closed form does not hold.
+    code, out, _ = run(
+        capsys, "dimension", "--preset", "measured", "--seed", "11",
+        "--c-seq", "1,2", "--depth", "2", "--out", "json",
+    )
+    assert code == 0
+    assert "theorem_bound" not in json.loads(out)
 
 
 LEVELS = object()  # stands for the path of a valid levels file
@@ -539,6 +546,9 @@ def assert_one_error_line(err):
         (("dimension", "--bound", "theorem", "--seed", "11", "--c", "1e400"), 2),
         (("dimension", "--preset", "paper-general", "--seed", "11",
           "--c", "1e400", "--kmax", "4"), 2),
+        # The closed-form bound, like the analytic levels, needs theta > 0.
+        (("dimension", "--bound", "theorem", "--seed", "11", "--c", "1"), 2),
+        (("dimension", "--bound", "theorem", "--seed", "11", "--c-seq", "1,2"), 2),
     ],
     ids=["no-prime-in-interval", "measured-depth0", "no-exponent",
          "digits-below-integer-part", "no-preset", "no-p",
@@ -546,7 +556,7 @@ def assert_one_error_line(err):
          "paper-general-composite-seed", "bound-composite-seed",
          "tree-node-budget",
          "negative-delta", "delta-above-one", "bound-huge-c",
-         "paper-general-huge-c"],
+         "paper-general-huge-c", "bound-theta-zero", "bound-c-seq-theta-zero"],
 )
 def test_errors_exit_with_one_line(capsys, monkeypatch, argv, want):
     # Only the tree-node-budget row builds a tree of more than its root.

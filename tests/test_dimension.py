@@ -227,7 +227,7 @@ def test_paper_levels_simple_validation():
 
 
 def test_paper_levels_general_substitution():
-    params = DimensionParams(a1=3, Q=1.0, L=1.0, theta=Fraction(1), R=Fraction(2))
+    params = DimensionParams(a1=3, Q=1.0, L=1.0)
     es = ExponentSequence.constant(2)
     (lvl2,) = paper_levels_general(params, es, 2)
     assert lvl2.log_eps == pytest.approx(math.log(1 / 32))
@@ -238,7 +238,7 @@ def test_paper_levels_general_estimate_approaches_one():
     es = ExponentSequence.constant(2)
     prev = 0.0
     for a1 in (1009, 100003, 1000003):
-        params = DimensionParams(a1=a1, theta=Fraction(1), R=Fraction(2))
+        params = DimensionParams(a1=a1)
         est = falconer_estimate(paper_levels_general(params, es, 20), 20)
         assert est > prev
         prev = est
@@ -246,7 +246,7 @@ def test_paper_levels_general_estimate_approaches_one():
 
 
 def test_paper_levels_general_needs_positive_theta():
-    params = DimensionParams(a1=101, theta=Fraction(0), R=Fraction(3))
+    params = DimensionParams(a1=101)
     es = ExponentSequence.constant(1)
     with pytest.raises(ValueError):
         paper_levels_general(params, es, 4)
