@@ -12,7 +12,6 @@ import math
 from primecantor import (
     ExponentSequence,
     enumerate_tree,
-    falconer_estimate,
     falconer_profile,
     measured_levels,
     middle_thirds_levels,
@@ -23,15 +22,15 @@ from primecantor.dimension import DimensionParams
 
 
 def main():
-    thirds = middle_thirds_levels(40)
-    print(f"middle thirds, k=40:   {falconer_estimate(thirds, 40):.6f}"
+    est = dict(falconer_profile(middle_thirds_levels(40))[0])[40]
+    print(f"middle thirds, k=40:   {est:.6f}"
           f"   (limit log2/log3 = {math.log(2) / math.log(3):.6f})")
 
     es = ExponentSequence.constant(2)
     for a1 in (1009, 100003, 1000003):
         params = DimensionParams(a1=a1)
         levels = paper_levels_general(params, es, 24)
-        est = falconer_estimate(levels, 24)
+        est = dict(falconer_profile(levels)[0])[24]
         bound = proposition_bound(a1, 2)
         print(f"analytic a1={a1:<8} k=24: {est:.8f}   (closed form {bound:.8f})")
 

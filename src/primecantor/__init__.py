@@ -17,7 +17,6 @@ from .constant import bracket_for_chain, digits, verify_representation
 from .dimension import (
     DimensionParams,
     LevelStats,
-    falconer_estimate,
     falconer_profile,
     measured_levels,
     middle_thirds_levels,
@@ -47,7 +46,6 @@ __all__ = [
     "digits",
     "enumerate_tree",
     "extend_greedy",
-    "falconer_estimate",
     "falconer_profile",
     "gamma_survey",
     "is_prime",

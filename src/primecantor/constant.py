@@ -26,7 +26,7 @@ def bracket_for_chain(chain: PrimeChain) -> Bracket:
     end floor(2**s * (a+1)**(1/C)) / 2**s + 2**-s lies strictly above
     (a+1)**(1/C).  The scale 2**-s is the mean-value width estimate plus 8
     guard bits, so the rounding slack per endpoint is below 1/8 of the
-    enclosed width: digit decisions stay stable.
+    enclosed width.
     """
     e = 1 / chain.exponents.C(len(chain))
     a = chain.last

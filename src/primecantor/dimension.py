@@ -65,17 +65,6 @@ class DimensionParams:
             raise ValueError("R must be >= 1 + theta")
 
 
-def falconer_estimate(levels: Sequence[LevelStats], k: int) -> float:
-    """The finite-k ratio at level k, read from ``falconer_profile``."""
-    est = dict(falconer_profile(levels)[0]).get(k)
-    if est is None:
-        raise InapplicableLevelsError(
-            f"level {k} admits no estimate: it is missing, lies past a missing "
-            "level or an m_i < 2, or has m_k eps_k >= 1"
-        )
-    return est
-
-
 def falconer_profile(
     levels: Sequence[LevelStats],
 ) -> Tuple[List[Tuple[int, float]], float]:

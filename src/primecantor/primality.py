@@ -66,9 +66,13 @@ _PROVEN_CACHE_SIZE = 1024
 
 @dataclass(frozen=True)
 class SieveConfig:
-    """Memory budget for interval enumeration (DEFAULT_SIEVE only)."""
+    """Memory budget for interval enumeration (DEFAULT_SIEVE only).
 
-    base_prime_limit: int = 1_000_000
+    The limit is 2**20: the shared table doubles from 4, so whenever it
+    holds the primes up to 10**6 it already holds those up to 2**20.
+    """
+
+    base_prime_limit: int = 1 << 20
 
 
 DEFAULT_SIEVE = SieveConfig()
@@ -99,9 +103,9 @@ _SHORT_RUN = 64
 # 2500 bits (the cost is flat near the optimum, which lies 1.2-1.35 times
 # deeper), and it is 25 % below the cost at a fixed 2**14 at 1790 bits.
 # Below 512 bits it falls under the floor 2**14, where the strike of the
-# segment's small primes costs more than the few tests it saves; from 2017
-# bits on it is capped at enumeration's base_prime_limit, so the shared
-# table never grows past the 2**20 that listing already grows it to.
+# segment's small primes costs more than the few tests it saves; from 2048
+# bits on it is capped at enumeration's base_prime_limit, 2**20, so the
+# shared table never grows past what listing already grows it to.
 _FIRST_HIT_BASE_FLOOR = 1 << 14
 
 # Every prime <= _covered, ascending.  _covered starts at 4 and doubles; step
@@ -144,6 +148,11 @@ def _miller_rabin_witness(n: int, a: int, d: int, s: int) -> bool:
 
 def _strong_lucas_prp(n: int) -> bool:
     """Strong Lucas probable-prime test with Selfridge's parameter choice."""
+    # A square has no D with Jacobi(D, n) = -1: the search below would run
+    # until |D| meets a factor of n.
+    r = math.isqrt(n)
+    if r * r == n:
+        return False
     # Find D = 5, -7, 9, -11, ... with Jacobi(D, n) = -1.
     # A D that n divides (D = 5 for n = 5, -11 for n = 11) says nothing
     # about n, so the search moves past it, as sympy's does.
@@ -233,7 +242,7 @@ def is_prime(n: int) -> bool:
         bases = _DETERMINISTIC_BASES[: bisect_right(_PSI, n) + 1]
         return not any(_miller_rabin_witness(n, a, d, s) for a in bases)
 
-    # Baillie-PSW: strong base-2 plus strong Lucas, after a square check.
+    # Baillie-PSW: strong base-2 plus strong Lucas.
     if _miller_rabin_witness(n, 2, d, s):
         return False
     return _passes_after_base_2(n, d, s)
@@ -248,9 +257,6 @@ def _passes_after_base_2(n: int, d: int, s: int) -> bool:
     remembered: a prime that a search has proved and a verification checks
     again costs one more base-2 test, not a second strong Lucas test.
     """
-    r = math.isqrt(n)
-    if r * r == n:
-        return False
     if not _strong_lucas_prp(n):
         return False
     rng = random.Random(f"{RNG_SEED}:{n}")

@@ -23,7 +23,7 @@ from primecantor.constant import digits
 from primecantor.dimension import (
     DimensionParams,
     branching_growth_log,
-    falconer_estimate,
+    falconer_profile,
     measured_levels,
     middle_thirds_levels,
     paper_levels_general,
@@ -163,7 +163,7 @@ def test_criterion_3_round_trip():
 
 def test_criterion_4_middle_thirds():
     k = 40
-    got = falconer_estimate(middle_thirds_levels(k), k)
+    got = dict(falconer_profile(middle_thirds_levels(k))[0])[k]
     want = (k - 1) * math.log(2) / (k * math.log(3) - math.log(2))
     diff = abs(got - want)
     ok = diff <= 1e-3
@@ -190,8 +190,8 @@ def test_criterion_5_simple_closed_form():
     # (k - 2) ln d1 against a numerator of about 1.2e6 alone put the k=12
     # ratio 2.3e-5 off, so the 1e-6 tolerance is first met at k=16.
     p, delta, d1, k, k_met = 10**9 + 7, 0.01, 0.5, 12, 16
-    levels = paper_levels_simple(p, d1, delta, k_met)
-    ests = [falconer_estimate(levels, j) for j in range(k, k_met + 1)]
+    profile = dict(falconer_profile(paper_levels_simple(p, d1, delta, k_met))[0])
+    ests = [profile[j] for j in range(k, k_met + 1)]
     got, got_met = ests[0], ests[-1]
     exact_err = abs(got - simple_finite_depth(p, d1, delta, k))
     want = (1 - delta / 2) / (1 + delta + 3 / (p * math.log(p)))
@@ -230,8 +230,8 @@ def test_criterion_6_general_bound():
     ok = True
     for a1 in (10**3 + 9, 10**6 + 3):
         params = DimensionParams(a1=a1, Q=Q, L=L)
-        levels = paper_levels_general(params, es, k_met)
-        ests = [falconer_estimate(levels, j) for j in range(k, k_met + 1)]
+        profile = dict(falconer_profile(paper_levels_general(params, es, k_met))[0])
+        ests = [profile[j] for j in range(k, k_met + 1)]
         got, got_met = ests[0], ests[-1]
         exact_err = abs(got - general_finite_depth(a1, Q, L, k))
         want = proposition_bound(a1, 2)
@@ -277,7 +277,7 @@ def test_criterion_8_measured_tree():
     es = ExponentSequence.constant(2)
     tree = enumerate_tree(seed, es, 1, policy="full")
     levels = measured_levels(tree, es)
-    est = falconer_estimate(levels, 2)
+    est = dict(falconer_profile(levels)[0])[2]
     eps2 = math.exp(levels[0].log_eps)
     analytic = 0.25 * float(seed + 1) ** -1.5
     ok = 0.8 < est <= 1.0 and eps2 >= analytic

@@ -18,7 +18,6 @@ from primecantor.dimension import (
     _certified_gap,
     _min_sibling_gap,
     branching_growth_log,
-    falconer_estimate,
     falconer_profile,
     measured_levels,
     middle_thirds_levels,
@@ -55,7 +54,7 @@ def test_middle_thirds_estimate_matches_closed_form():
     # Finite-k value of the two-branch, 3**-k-gap construction:
     # (k-1) log2 / (k log3 - log2).
     levels = middle_thirds_levels(40)
-    got = falconer_estimate(levels, 40)
+    got = dict(falconer_profile(levels)[0])[40]
     want = 39 * LOG2 / (40 * LOG3 - LOG2)
     assert got == pytest.approx(want, abs=1e-12)
     assert abs(got - LOG2 / LOG3) < 0.01  # converging toward log2/log3
@@ -63,7 +62,8 @@ def test_middle_thirds_estimate_matches_closed_form():
 
 def test_middle_thirds_estimates_increase_toward_limit():
     levels = middle_thirds_levels(60)
-    values = [falconer_estimate(levels, k) for k in range(2, 61)]
+    ests = dict(falconer_profile(levels)[0])
+    values = [ests[k] for k in range(2, 61)]
     assert values == sorted(values)
     assert values[-1] < LOG2 / LOG3
 
@@ -74,21 +74,19 @@ def test_direct_substitution_half():
         LevelStats(2, LOG2, math.log(1 / 8)),
     ]
     # m_2 * eps_2 = 1/4, so the ratio is log2 / log4.
-    assert falconer_estimate(levels, 2) == pytest.approx(0.5, abs=1e-12)
+    assert dict(falconer_profile(levels)[0])[2] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_falconer_estimate_validation():
+def test_falconer_profile_validation():
     levels = middle_thirds_levels(5)
+    assert 9 not in dict(falconer_profile(levels)[0])
+    assert 7 not in dict(falconer_profile(levels + [LevelStats(7, LOG2, -9.0)])[0])
     with pytest.raises(InapplicableLevelsError):
-        falconer_estimate(levels, 9)
+        falconer_profile([LevelStats(1, math.log(1.5), -1.0)])
     with pytest.raises(InapplicableLevelsError):
-        falconer_estimate(levels + [LevelStats(7, LOG2, -9.0)], 7)
-    with pytest.raises(InapplicableLevelsError):
-        falconer_estimate([LevelStats(1, math.log(1.5), -1.0)], 1)
-    with pytest.raises(InapplicableLevelsError):
-        falconer_estimate([LevelStats(1, LOG2, 0.0)], 1)  # m * eps >= 1
+        falconer_profile([LevelStats(1, LOG2, 0.0)])  # m * eps >= 1
     with pytest.raises(ValueError, match="duplicate level index 3"):
-        falconer_estimate(levels + [LevelStats(3, LOG2, -9.0)], 3)
+        falconer_profile(levels + [LevelStats(3, LOG2, -9.0)])
 
 
 def test_falconer_profile_tail_minimum():
@@ -157,18 +155,12 @@ def test_falconer_profile_matches_per_k_definition(levels):
             want[stats.k] = _per_k_estimate(levels, stats.k)
         except InapplicableLevelsError:
             pass
-    for stats in levels:
-        if stats.k in want:
-            assert falconer_estimate(levels, stats.k) == want[stats.k]
-        else:
-            text = f"level {stats.k} " if want else "no level admits"
-            with pytest.raises(InapplicableLevelsError, match=text):
-                falconer_estimate(levels, stats.k)
     if not want:
         with pytest.raises(InapplicableLevelsError, match="no level admits"):
             falconer_profile(levels)
         return
     profile, proxy = falconer_profile(levels)
+    assert dict(profile) == want
     assert profile == sorted(want.items())
     deepest = profile[len(profile) // 2:]
     assert proxy == min(est for _, est in deepest)
@@ -176,15 +168,11 @@ def test_falconer_profile_matches_per_k_definition(levels):
 
 def test_falconer_rejects_duplicates_and_no_levels():
     levels = middle_thirds_levels(6) + [LevelStats(9, LOG2, -9.0)] * 2
-    for call in (lambda: falconer_profile(levels),
-                 lambda: falconer_estimate(levels, 2)):
-        with pytest.raises(ValueError, match="duplicate level index 9"):
-            call()
-    for call in (lambda: falconer_profile([]), lambda: falconer_estimate([], 1)):
-        with pytest.raises(InapplicableLevelsError, match="no level admits"):
-            call()
-    with pytest.raises(InapplicableLevelsError, match="level 9 admits no estimate"):
-        falconer_estimate(middle_thirds_levels(6), 9)
+    with pytest.raises(ValueError, match="duplicate level index 9"):
+        falconer_profile(levels)
+    with pytest.raises(InapplicableLevelsError, match="no level admits"):
+        falconer_profile([])
+    assert 9 not in dict(falconer_profile(middle_thirds_levels(6))[0])
 
 
 def test_falconer_profile_is_linear_in_levels():
@@ -239,7 +227,7 @@ def test_paper_levels_general_estimate_approaches_one():
     prev = 0.0
     for a1 in (1009, 100003, 1000003):
         params = DimensionParams(a1=a1)
-        est = falconer_estimate(paper_levels_general(params, es, 20), 20)
+        est = dict(falconer_profile(paper_levels_general(params, es, 20))[0])[20]
         assert est > prev
         prev = est
     assert prev > 0.999
@@ -392,7 +380,7 @@ def test_measured_levels_certifies_one_gap_per_label_difference(monkeypatch):
 def test_measured_feeds_estimator():
     es = ExponentSequence.constant(3)
     levels = measured_levels(enumerate_tree(2, es, 2), es)
-    est = falconer_estimate(levels, 3)
+    est = dict(falconer_profile(levels)[0])[3]
     assert 0.0 < est < 1.0
 
 

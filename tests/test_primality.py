@@ -308,7 +308,7 @@ def test_first_prime_matches_sympy_nextprime(kind):
 
 def test_first_prime_search_deepens_with_the_bit_length(monkeypatch):
     # 598, 1000 and 2499 bits, where the depth rule strikes with more base
-    # primes than 2^14 (at 2499 bits, all of the listing's 10^6).  These
+    # primes than 2^14 (at 2499 bits, all of the listing's 2^20).  These
     # powers of ten lie 313, 531 and 123 below their next primes, which
     # keeps sympy's nextprime to about a second.
     _reset_base_table(monkeypatch)
@@ -322,7 +322,7 @@ def test_first_prime_search_deepens_with_the_bit_length(monkeypatch):
     f = math.factorial(370)
     with pytest.raises(NoPrimeInIntervalError):
         first_prime_in_range(f + 2, f + 370)
-    assert limit <= primality._base_table[-1] <= 2 * limit
+    assert limit <= primality._covered <= 2 * limit
 
 
 _LIMIT = DEFAULT_SIEVE.base_prime_limit  # the listing's base-prime cap
@@ -357,7 +357,7 @@ def test_sieve_results_do_not_depend_on_call_order(monkeypatch, sieve, grown):
     _reset_base_table(monkeypatch)
     if grown:
         primes_in_range(10**12, 10**12 + 100)
-        assert primality._base_table[-1] > _LIMIT
+        assert primality._covered >= _LIMIT
     for lo, hi in ORDER_WINDOWS:
         if not grown:
             _reset_base_table(monkeypatch)
@@ -432,13 +432,20 @@ def test_sieve_entry_points_match_sympy_across_small_segments(monkeypatch):
 
 
 def test_near_count_reads_the_flags(monkeypatch):
-    # Below the base-prime cap every set flag is a prime: no survivor is tested.
+    # Below the base-prime cap every set flag is a prime: no survivor is
+    # tested, by a count or a listing.  The last window has 10**6 <
+    # isqrt(hi) <= 2**20, where a table grown for 10**6 already holds every
+    # base prime.
     def refuse(n):
-        raise AssertionError(f"is_prime({n}) called by a near count")
+        raise AssertionError(f"is_prime({n}) called in the near regime")
 
     monkeypatch.setattr(primality, "is_prime", refuse)
-    for lo, hi in [(0, 10**5), (10**9, 10**9 + 10**4), (10**12, 10**12 + 2000)]:
-        assert count_primes_in_range(lo, hi) == len(list(primerange(lo, hi + 1))), (lo, hi)
+    lo_band = 10**12 + 2 * 10**6
+    for lo, hi in [(0, 10**5), (10**9, 10**9 + 10**4), (10**12, 10**12 + 2000),
+                   (lo_band, lo_band + 1000)]:
+        want = list(primerange(lo, hi + 1))
+        assert primes_in_range(lo, hi) == want, (lo, hi)
+        assert count_primes_in_range(lo, hi) == len(want), (lo, hi)
 
 
 def test_far_count_confirms_survivors(monkeypatch):
@@ -491,12 +498,14 @@ def test_is_prime_matches_sympy(n):
 
 
 def test_strong_lucas_test_matches_sympy():
-    # Every odd non-square n in [3, 10**5), the strong Lucas pseudoprimes
-    # 5459, 5777, 10877, ... (OEIS A217255) among them, and 5 and 11, whose
-    # first Selfridge candidate D divisible by n is passed over.
-    for n in range(3, 10**5, 2):
-        if math.isqrt(n) ** 2 != n:
-            assert primality._strong_lucas_prp(n) == is_strong_lucas_prp(n), n
+    # Every odd n in [3, 10**5), the strong Lucas pseudoprimes 5459, 5777,
+    # 10877, ... (OEIS A217255) among them, and 5 and 11, whose first
+    # Selfridge candidate D divisible by n is passed over.  Squares of
+    # large primes too: no D has Jacobi(D, n) = -1, so the D search alone
+    # would only stop at a multiple of the prime.
+    squares = [p * p for p in (10**9 + 7, 10**12 + 39, nextprime(2**64))]
+    for n in list(range(3, 10**5, 2)) + squares:
+        assert primality._strong_lucas_prp(n) == is_strong_lucas_prp(n), n
     assert all(primality._strong_lucas_prp(n) for n in (5459, 5777, 10877))
 
 
