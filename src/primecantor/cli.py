@@ -44,11 +44,11 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _exponents_from_args(args) -> chains.ExponentSequence:
-    if args.c_seq:
+    if args.c_seq and args.c is None:
         tail = args.c_tail if args.c_tail is not None else args.c_seq[-1]
         return chains.ExponentSequence.of(args.c_seq, tail)
-    if args.c is None:
-        raise ValueError("either --c or --c-seq is required")
+    if args.c is None or args.c_seq or args.c_tail is not None:
+        raise ValueError("give --c, or --c-seq with an optional --c-tail")
     return chains.ExponentSequence.constant(args.c)
 
 
@@ -136,8 +136,8 @@ def cmd_tree(args) -> int:
 
 def cmd_dimension(args) -> int:
     levels, exponents = _dimension_source(args)
-    # Both bounds share one closed form, which like the analytic levels needs
-    # theta > 0; sources without a seed have none.
+    # The closed form, like the analytic levels, needs theta > 0; sources
+    # without a seed have none.
     bound = None
     if exponents is not None and exponents.theta > 0:
         bound = dimension.proposition_bound(args.seed, exponents.R)
@@ -154,6 +154,7 @@ def cmd_dimension(args) -> int:
     profile, liminf_proxy = dimension.falconer_profile(levels)
     by_k = dict(profile)
     if args.out == "json":
+        source = "measured" if args.preset in (None, "measured") else "analytic"
         config = {
             "preset": args.preset, "kmax": args.kmax, "p": args.seed,
             "delta": args.delta, "d1": args.d1, "Q": args.Q, "L": args.L,
@@ -166,7 +167,7 @@ def cmd_dimension(args) -> int:
                     "k": s.k,
                     "log_m": s.log_m,
                     "log_eps": s.log_eps,
-                    "source": s.source,
+                    "source": source,
                     "estimate": by_k.get(s.k),
                 }
                 for s in levels
@@ -245,14 +246,12 @@ def _dimension_source(args):
 
 
 def _read_levels_file(path: str) -> List[dimension.LevelStats]:
-    """CSV with header k,log_m,log_eps[,source]; other columns are ignored,
-    and levels without a source column count as measured."""
+    """CSV with header k,log_m,log_eps; other columns are ignored."""
     out = []
     with open(path) as fh:
         header = fh.readline().strip().lower()
         if not header.startswith("k,"):
             raise ValueError(f"{path}: expected header k,log_m,log_eps")
-        has_source = header.split(",")[3:4] == ["source"]
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -260,13 +259,8 @@ def _read_levels_file(path: str) -> List[dimension.LevelStats]:
             parts = line.split(",")
             if len(parts) < 3:
                 raise ValueError(f"{path}: expected k,log_m,log_eps in {line!r}")
-            source = parts[3].strip() if has_source and len(parts) > 3 else "measured"
-            if source not in ("analytic", "measured"):
-                raise ValueError(f"{path}: unknown source {source!r} in {line!r}")
             out.append(
-                dimension.LevelStats(
-                    int(parts[0]), float(parts[1]), float(parts[2]), source
-                )
+                dimension.LevelStats(int(parts[0]), float(parts[1]), float(parts[2]))
             )
     return out
 
@@ -316,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
     )
     p_dim.add_argument("--levels-file", default=None)
-    p_dim.add_argument("--bound", choices=["proposition", "theorem"], default=None)
+    p_dim.add_argument("--bound", action="store_true")
     # _dimension_source fills in the defaults once it has checked the flags.
     p_dim.add_argument("--kmax", type=int, default=None)
     p_dim.add_argument("--delta", type=float, default=None)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
-from typing import Dict, List, Literal, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .certified import Rational, scaled_pow, slope_scale
 from .chains import ExponentSequence, TreeNode
@@ -26,8 +26,6 @@ from .errors import InapplicableLevelsError, TruncatedTreeError, UncertifiedGapE
 LOG2 = math.log(2.0)
 # Bits of scale a certified sibling gap carries past its mean-value estimate.
 _GUARD_BITS = 48
-
-Source = Literal["analytic", "measured"]
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,6 @@ class LevelStats:
     k: int
     log_m: float
     log_eps: float
-    source: Source = "analytic"
 
     def __post_init__(self):
         if not (math.isfinite(self.log_m) and math.isfinite(self.log_eps)):
@@ -111,7 +108,7 @@ def middle_thirds_levels(k_max: int) -> List[LevelStats]:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     return [
-        LevelStats(k, LOG2, -k * math.log(3.0), "analytic")
+        LevelStats(k, LOG2, -k * math.log(3.0))
         for k in range(1, k_max + 1)
     ]
 
@@ -146,7 +143,7 @@ def paper_levels_simple(
     for k in range(2, k_max + 1):
         log_m = math.log(d1) + 3.0 ** (k - 2) * (2.0 - delta) * log_p
         log_eps = -k * log3 + (1.0 / 3.0 - 3.0 ** (k - 1)) * log_p1
-        out.append(LevelStats(k, log_m, log_eps, "analytic"))
+        out.append(LevelStats(k, log_m, log_eps))
     return out
 
 
@@ -184,7 +181,7 @@ def paper_levels_general(
             + float((c_k - c_prev) / c1) * log_a1
             - params.L * (_log_frac(c_k) + math.log(log_a1))
         )
-        out.append(LevelStats(k, log_m, log_eps, "analytic"))
+        out.append(LevelStats(k, log_m, log_eps))
         c_prev = c_k
     return out
 
@@ -236,7 +233,7 @@ def measured_levels(
             )
         m_k = min(p.branching_total for p in parents)
         eps_k = _min_sibling_gap(parents, 1 / exponents.C(k))
-        out.append(LevelStats(k, math.log(m_k), _log_frac(eps_k), "measured"))
+        out.append(LevelStats(k, math.log(m_k), _log_frac(eps_k)))
         k, parents = k + 1, children
         children = [child for p in parents for child in p.children]
     return out

@@ -202,11 +202,11 @@ def test_dimension_paper_simple_trend(capsys):
 def test_dimension_bounds(capsys):
     # R is the largest exponent of the sequence: c = 2 gives R = 2.
     code, out, _ = run(
-        capsys, "dimension", "--bound", "theorem", "--p", "11", "--c", "2"
+        capsys, "dimension", "--bound", "--p", "11", "--c", "2"
     )
     assert code == 0
     assert out == "0.9295200087\n"
-    code, _, err = run(capsys, "dimension", "--bound", "theorem")
+    code, _, err = run(capsys, "dimension", "--bound")
     assert code == 2
     assert "--p" in err
 
@@ -215,7 +215,7 @@ def test_dimension_bound_takes_a_seed_past_float_range(capsys):
     # The bound is 1 / (1 + R / (a1 ln a1)), which rounds to 1 at this size.
     seed = nextprime(2**1024)
     code, out, _ = run(
-        capsys, "dimension", "--bound", "theorem", "--seed", str(seed), "--c", "2"
+        capsys, "dimension", "--bound", "--seed", str(seed), "--c", "2"
     )
     assert code == 0
     assert out == "1.0000000000\n"
@@ -229,7 +229,7 @@ def test_dimension_bound_takes_a_seed_past_float_range(capsys):
 
 
 def test_dimension_bound_needs_a_sequence(capsys):
-    code, out, err = run(capsys, "dimension", "--bound", "proposition", "--p", "11")
+    code, out, err = run(capsys, "dimension", "--bound", "--p", "11")
     assert code == 2
     assert out == ""
     assert_one_error_line(err)
@@ -280,7 +280,7 @@ LEVELS = object()  # stands for the path of a valid levels file
         ("--preset", "cantor-thirds", "--c", "2"),
         ("--preset", "cantor-thirds", "--seed", "11"),
         ("--levels-file", LEVELS, "--c", "2"),
-        ("--preset", "measured", "--bound", "theorem", "--seed", "11", "--c", "2"),
+        ("--preset", "measured", "--bound", "--seed", "11", "--c", "2"),
         ("--preset", "cantor-thirds", "--levels-file", LEVELS),
         ("--preset", "cantor-thirds", "--kmax", "3", "--depth", "9", "--d1", "4"),
         ("--levels-file", LEVELS, "--kmax", "5"),
@@ -291,8 +291,8 @@ LEVELS = object()  # stands for the path of a valid levels file
         ("--preset", "measured", "--seed", "11", "--c", "2", "--kmax", "5"),
         ("--preset", "measured", "--seed", "11", "--c", "2", "--Q", "7",
          "--delta", "0.5"),
-        ("--bound", "theorem", "--seed", "11", "--c", "2", "--kmax", "5"),
-        ("--bound", "proposition", "--seed", "11", "--c", "2", "--L", "2"),
+        ("--bound", "--seed", "11", "--c", "2", "--kmax", "5"),
+        ("--bound", "--seed", "11", "--c", "2", "--L", "2"),
     ],
     ids=["cantor-thirds-c", "cantor-thirds-seed", "levels-file-c",
          "preset-and-bound", "preset-and-levels-file", "cantor-thirds-depth-d1",
@@ -321,7 +321,7 @@ def test_dimension_rejects_flags_its_source_ignores(tmp_path, capsys, flags):
         ("--preset", "paper-general", "--p", "11", "--c-seq", "3,5/2",
          "--c-tail", "2", "--kmax", "6", "--Q", "0.7", "--L", "0.5"),
         ("--preset", "measured", "--p", "2", "--c", "3", "--depth", "1"),
-        ("--bound", "theorem", "--p", "11", "--c-seq", "3,5/2", "--c-tail", "2"),
+        ("--bound", "--p", "11", "--c-seq", "3,5/2", "--c-tail", "2"),
     ],
     ids=["cantor-thirds", "levels-file", "paper-simple", "paper-general",
          "measured", "bound"],
@@ -338,7 +338,7 @@ def test_dimension_accepts_every_flag_its_source_reads(tmp_path, capsys, flags):
     [
         ("--preset", "measured", "--c", "2"),
         ("--preset", "paper-simple"),
-        ("--bound", "theorem", "--c", "2"),
+        ("--bound", "--c", "2"),
     ],
     ids=["measured", "paper-simple", "bound"],
 )
@@ -350,7 +350,8 @@ def test_dimension_seed_zero_is_checked_not_missing(capsys, flags):
 
 
 @pytest.mark.parametrize(
-    "flags", [("--R", "2"), ("--out", "text")], ids=["R", "out-text"]
+    "flags", [("--R", "2"), ("--out", "text"), ("--bound", "theorem")],
+    ids=["R", "out-text", "bound-theorem"],
 )
 def test_dimension_rejects_removed_flags(capsys, flags):
     with pytest.raises(SystemExit) as exc:
@@ -427,19 +428,50 @@ def test_dimension_levels_file_round_trip_of_cantor_thirds(tmp_path, capsys):
 
 
 def test_dimension_levels_file_source_column(tmp_path, capsys):
-    path = tmp_path / "levels.csv"
+    # A source column is ignored like any other extra column.
     log2, log3 = math.log(2), math.log(3)
-    path.write_text(
+    rows = [f"{k},{log2},{-k * log3}" for k in (1, 2, 3)]
+    plain, labelled = tmp_path / "plain.csv", tmp_path / "labelled.csv"
+    plain.write_text("k,log_m,log_eps\n" + "\n".join(rows) + "\n")
+    labelled.write_text(
         "k,log_m,log_eps,source\n"
-        f"1,{log2},{-log3},analytic\n2,{log2},{-2 * log3}\n"
-        f"3,{log2},{-3 * log3},measured\n"
+        f"{rows[0]},analytic\n{rows[1]}\n{rows[2]},measured\n"
     )
-    code, out, _ = run(
-        capsys, "dimension", "--levels-file", str(path), "--out", "json"
-    )
+    outs = []
+    for path in (plain, labelled):
+        code, out, _ = run(
+            capsys, "dimension", "--levels-file", str(path), "--out", "json"
+        )
+        assert code == 0
+        outs.append(json.loads(out))
+    assert outs[1] == outs[0]
+    assert [lvl["source"] for lvl in outs[1]["levels"]] == ["measured"] * 3
+
+
+@pytest.mark.parametrize(
+    "flags, want",
+    [
+        (("--preset", "cantor-thirds", "--kmax", "3"), "analytic"),
+        (("--preset", "paper-simple", "--p", "11", "--kmax", "4"), "analytic"),
+        (("--preset", "paper-general", "--p", "1009", "--c", "2", "--kmax", "4"),
+         "analytic"),
+        (("--preset", "measured", "--seed", "2", "--c", "3", "--depth", "2"),
+         "measured"),
+        (("--levels-file", LEVELS), "measured"),
+    ],
+    ids=["cantor-thirds", "paper-simple", "paper-general", "measured",
+         "levels-file"],
+)
+def test_dimension_json_source_follows_the_level_source(
+    tmp_path, capsys, flags, want
+):
+    path = tmp_path / "levels.csv"
+    path.write_text("k,log_m,log_eps\n1,0.7,-1.1\n2,0.7,-2.2\n")
+    argv = [str(path) if flag is LEVELS else flag for flag in flags]
+    code, out, _ = run(capsys, "dimension", *argv, "--out", "json")
     assert code == 0
     levels = json.loads(out)["levels"]
-    assert [lvl["source"] for lvl in levels] == ["analytic", "measured", "measured"]
+    assert levels and {lvl["source"] for lvl in levels} == {want}
 
 
 def test_survey_gamma_rows(capsys):
@@ -533,7 +565,7 @@ def assert_one_error_line(err):
         (("dimension", "--preset", "measured", "--c", "3"), 2),
         (("dimension", "--preset", "paper-simple", "--p", "4"), 2),
         (("dimension", "--preset", "paper-general", "--p", "4", "--c", "2"), 2),
-        (("dimension", "--bound", "proposition", "--p", "4", "--c", "2"), 2),
+        (("dimension", "--bound", "--p", "4", "--c", "2"), 2),
         # Its depth-2 tree holds 541 nodes, over the budget of 10 set below.
         (("tree", "--seed", "2", "--c", "3", "--depth", "2"), 1),
         # delta outside [0, 1) would give a "dimension" above 1 (-0.5) or no
@@ -543,12 +575,12 @@ def assert_one_error_line(err):
         (("dimension", "--preset", "paper-simple", "--p", "11",
           "--delta", "1.5", "--kmax", "6"), 2),
         # An exponent past float range cannot enter the log-space formulas.
-        (("dimension", "--bound", "theorem", "--seed", "11", "--c", "1e400"), 2),
+        (("dimension", "--bound", "--seed", "11", "--c", "1e400"), 2),
         (("dimension", "--preset", "paper-general", "--seed", "11",
           "--c", "1e400", "--kmax", "4"), 2),
         # The closed-form bound, like the analytic levels, needs theta > 0.
-        (("dimension", "--bound", "theorem", "--seed", "11", "--c", "1"), 2),
-        (("dimension", "--bound", "theorem", "--seed", "11", "--c-seq", "1,2"), 2),
+        (("dimension", "--bound", "--seed", "11", "--c", "1"), 2),
+        (("dimension", "--bound", "--seed", "11", "--c-seq", "1,2"), 2),
     ],
     ids=["no-prime-in-interval", "measured-depth0", "no-exponent",
          "digits-below-integer-part", "no-preset", "no-p",
@@ -565,6 +597,25 @@ def test_errors_exit_with_one_line(capsys, monkeypatch, argv, want):
     assert code == want
     assert out == ""
     assert_one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--c", "3", "--c-seq", "2"), ("--c", "3", "--c-tail", "5")],
+    ids=["c-and-c-seq", "c-and-c-tail"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [("mills", "--seed", "2", "--steps", "2"), ("tree", "--seed", "2"),
+     ("dimension", "--preset", "measured", "--seed", "11")],
+    ids=["mills", "tree", "dimension"],
+)
+def test_conflicting_exponent_flags_are_a_usage_error(capsys, argv, flags):
+    code, out, err = run(capsys, *argv, *flags)
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err)
+    assert "--c" in err
 
 
 @pytest.mark.parametrize("head", ["3,x", "3,1/0"])
@@ -586,9 +637,8 @@ def test_malformed_c_seq_is_a_usage_error(capsys, argv, head):
 @pytest.mark.parametrize(
     "row",
     [None, "2,0.69,not-a-float", "2,0.69", "2,nan,-5.0", "2,0.69,inf",
-     "2,0.69,-2.2,0.505928607", "1,0.69,-2.2"],
-    ids=["missing-file", "bad-float", "short-row", "nan", "inf", "bad-source",
-         "duplicate-k"],
+     "1,0.69,-2.2"],
+    ids=["missing-file", "bad-float", "short-row", "nan", "inf", "duplicate-k"],
 )
 def test_dimension_levels_file_errors(tmp_path, capsys, row):
     path = tmp_path / "levels.csv"

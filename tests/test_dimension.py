@@ -266,7 +266,6 @@ def test_measured_levels_cubic_tree():
     tree = enumerate_tree(2, es, 2)
     levels = measured_levels(tree, es)
     assert [lvl.k for lvl in levels] == [2, 3]
-    assert all(lvl.source == "measured" for lvl in levels)
     lvl2, lvl3 = levels
     assert lvl2.log_m == pytest.approx(math.log(5))
     # Smallest adjacent sibling gap under the root: between the intervals of
