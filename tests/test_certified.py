@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import integer_nthroot
 
+from primecantor import certified
 from primecantor.certified import (
     Bracket,
     dyadic,
@@ -16,7 +17,13 @@ from primecantor.certified import (
     root_enclosure,
     scaled_pow,
 )
-from primecantor.chains import counting_subinterval
+from primecantor.chains import (
+    ExponentSequence,
+    PrimeChain,
+    counting_subinterval,
+    extend_greedy,
+)
+from primecantor.constant import certified_prefix
 from primecantor.survey import _anchor_upper_bound
 
 
@@ -27,8 +34,9 @@ def test_introot_examples():
     assert introot(27, 3) == 3
     assert introot(28, 3) == 3
     assert introot(10**30, 5) == 10**6
-    with pytest.raises(ValueError):
-        introot(-1, 2)
+    for n, k in ((-1, 2), (5, 0), (5, -1)):
+        with pytest.raises(ValueError):
+            introot(n, k)
 
 
 @given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=1, max_value=12))
@@ -357,3 +365,93 @@ def _anchor_case(draw):
 @settings(max_examples=200, deadline=None)
 def test_scaled_root_matches_sympy(case, data):
     case(data.draw)
+
+
+@given(
+    st.integers(min_value=0, max_value=1 << 200),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=8, max_value=200),
+)
+@settings(max_examples=200, deadline=None)
+def test_pow_bounds_enclose_the_power(x, k, p):
+    lo, hi, s = certified._pow_bounds(x, k, p)
+    assert lo << s <= x**k <= hi << s
+    assert hi.bit_length() <= p + 1
+
+
+# The bounded path of scaled_pow at the sizes of certified Mills digits,
+# 10**m * a**(1/C) for the degrees C = 3**5, 5**4, 3**6 and 3**7.
+MILLS_DEGREES = st.sampled_from([243, 625, 729, 2187])
+
+
+@st.composite
+def mills_digit_cases(draw):
+    """(q, 1/d, scale): q an integer or a rational with a numerator of 100
+    to 1500 bits, an exact d-th power, or k**d +- 1 just off one; scale
+    10**m for 16 <= m <= 200 or 2**s of as many bits."""
+    d = draw(MILLS_DEGREES)
+    kind = draw(st.sampled_from(["integer", "rational", "exact", "near"]))
+    if kind == "exact":
+        q = Fraction(draw(st.integers(min_value=2, max_value=1 << 12)) ** d)
+    elif kind == "near":
+        k = draw(st.integers(min_value=2, max_value=16))
+        q = Fraction(k**d + draw(st.sampled_from([-1, 1])))
+    else:
+        u = draw(st.integers(min_value=1 << 99, max_value=1 << 1500))
+        v = draw(st.integers(min_value=1, max_value=u >> 50)) if kind == "rational" else 1
+        q = Fraction(u, v)
+    if draw(st.booleans()):
+        scale = 10 ** draw(st.integers(min_value=16, max_value=200))
+    else:
+        scale = 1 << draw(st.integers(min_value=53, max_value=664))
+    return q, Fraction(1, d), scale
+
+
+@given(mills_digit_cases())
+@settings(max_examples=30, deadline=None)
+def test_scaled_pow_matches_sympy_at_mills_sizes(case):
+    q, e, scale = case
+    d = e.denominator
+    t, w = scale**d * q.numerator, q.denominator
+    root = integer_nthroot(t // w, d)[0]
+    exact = root**d * w == t
+    assert scaled_pow(q, e, scale) == (root, root if exact else root + 1)
+    if q.denominator == 1 and integer_nthroot(q.numerator, d)[1]:
+        # An exact d-th power r**d comes back as r * scale, twice.
+        assert exact and root == integer_nthroot(q.numerator, d)[0] * scale
+
+
+class FullSizeRoot(Exception):
+    pass
+
+
+def _no_full_size_roots(monkeypatch):
+    """Make introot raise FullSizeRoot on the powers scaled_pow would
+    otherwise settle with bounds."""
+    real = certified.introot
+
+    def small_only(n, k):
+        if n.bit_length() > certified._BOUNDED_MIN_BITS:
+            raise FullSizeRoot(n.bit_length(), k)
+        return real(n, k)
+
+    monkeypatch.setattr(certified, "introot", small_only)
+
+
+def test_bounds_settle_mills_digits(monkeypatch):
+    """80 digits of a c = 3 chain of 6 elements: the two 729th roots of
+    190k-bit powers are settled by bounds, with the same text."""
+    chain = extend_greedy(PrimeChain.seed(2, ExponentSequence.constant(3)), 5)
+    want = certified_prefix(chain, 80)
+    assert want[0] == 80
+    _no_full_size_roots(monkeypatch)
+    assert certified_prefix(chain, 80) == want
+
+
+def test_exact_roots_reach_introot(monkeypatch):
+    """Bounds never prove an exact root, so it takes the exact path."""
+    args = (7**729, Fraction(1, 729), 10**78)
+    assert scaled_pow(*args) == (7 * 10**78, 7 * 10**78)
+    _no_full_size_roots(monkeypatch)
+    with pytest.raises(FullSizeRoot):
+        scaled_pow(*args)
