@@ -11,9 +11,12 @@ floor from powers truncated to a little more than the result's size and
 rounded outward, and returns only what strict integer comparisons of those
 bounds prove (Ziv's strategy; Brent & Zimmermann, Modern Computer
 Arithmetic, 1.5 and 3).  Exact roots and undecided cases go through the
-root primitive ``introot`` on the full-size power.  Enclosure endpoints are
-dyadic rationals (integer mantissa over a power of two), so arithmetic on
-them never accumulates rounding error.
+root primitive ``introot`` on the full-size power.  Both paths take their
+root from the one Newton iteration, ``_root_estimate`` (``math.isqrt`` for
+square roots), and differ only in how they check it: ``introot`` with exact
+powers, the bounded path with truncated powers rounded outward.  Enclosure
+endpoints are dyadic rationals (integer mantissa over a power of two), so
+arithmetic on them never accumulates rounding error.
 """
 
 from __future__ import annotations
@@ -36,37 +39,13 @@ def introot(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    # Precision doubling, as math.isqrt does for k = 2 (Brent & Zimmermann,
-    # Modern Computer Arithmetic, 1.5): shrink the root's bit count until it
-    # fits a float, then widen it back by one shift h per level.  A loop over
-    # the shifts rather than self-calls, so one call is one root.  Each h
-    # leaves the coarser root b >= h + g bits, which one Newton step needs.
-    g = (k - 1).bit_length()
-    shifts = []
-    bits = -(-n.bit_length() // k)
-    while bits > 32:
-        shifts.append(max((bits - g) // 2, 1))
-        bits -= shifts[-1]
-    total = sum(shifts)
-    m = n >> (k * total)
-    # The root of m has at most 32 bits: the float estimate is off by at
-    # most one.
-    x = int(2.0 ** (math.log2(m) / k))
-    while (x + 1) ** k <= m:
-        x += 1
-    while x ** k > m:
+    # With 8 bits more than the root, the estimate has come within one of
+    # the floor in every case tried; the exact powers below decide it.
+    x = _root_estimate(n, 0, k, -(-n.bit_length() // k) + 8)
+    while x ** k > n:
         x -= 1
-    for h in reversed(shifts):
-        total -= h
-        m = n >> (k * total)
-        # x is the floor root of m >> (k*h), so (x + 1) << h exceeds the root
-        # rho of m by at most 2**h.  One Newton step from there stays at or
-        # above floor(rho) and leaves an error of at most
-        # (k - 1) * 2**(h - b) < 1, so the check subtracts at most one.
-        x = (x + 1) << h
-        x = ((k - 1) * x + m // x ** (k - 1)) // k
-        while x ** k > m:
-            x -= 1
+    while (x + 1) ** k <= n:
+        x += 1
     return x
 
 
@@ -126,7 +105,9 @@ def _below(a: int, s: int, b: int, t: int) -> bool:
 
 def _root_estimate(a: int, sa: int, d: int, p: int) -> int:
     """An estimate of floor(A ** (1/d)) for A = a * 2**sa, a >= 1 and
-    d >= 2, to a relative error near 2**-p; unchecked.
+    d >= 2, to a relative error near 2**-p.  It is not checked here:
+    introot checks it with exact powers, _bounded_floor with outward-rounded
+    truncated ones.
 
     Newton's step x <- ((d - 1) x + A / x**(d - 1)) / d on x * 2**e, with
     x**(d - 1) truncated by _pow_bounds, from a float start of about 50

@@ -161,9 +161,12 @@ class TreeNode:
         return len(self.children) < self.branching_total
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """The nodes in preorder, from a stack, so no depth recurses."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 def enumerate_tree(

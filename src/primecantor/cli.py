@@ -246,11 +246,11 @@ def _dimension_source(args):
 
 
 def _read_levels_file(path: str) -> List[dimension.LevelStats]:
-    """CSV with header k,log_m,log_eps; other columns are ignored."""
+    """CSV whose header starts k,log_m,log_eps; further columns are ignored."""
     out = []
     with open(path) as fh:
         header = fh.readline().strip().lower()
-        if not header.startswith("k,"):
+        if header.split(",")[:3] != ["k", "log_m", "log_eps"]:
             raise ValueError(f"{path}: expected header k,log_m,log_eps")
         for line in fh:
             line = line.strip()

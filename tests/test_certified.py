@@ -10,6 +10,7 @@ from sympy import integer_nthroot
 from primecantor import certified
 from primecantor.certified import (
     Bracket,
+    _root_estimate,
     dyadic,
     introot,
     pow_ceil,
@@ -37,6 +38,10 @@ def test_introot_examples():
     for n, k in ((-1, 2), (5, 0), (5, -1)):
         with pytest.raises(ValueError):
             introot(n, k)
+    # Below 2**12 the estimate is the float start alone, with no Newton step.
+    for k in range(3, 14):
+        for n in range(1 << 12):
+            assert introot(n, k) == _newton_root(n, k)
 
 
 @given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=1, max_value=12))
@@ -209,6 +214,16 @@ def enclosure_cases(draw):
 def test_introot_matches_sympy_near_powers(r, k, offset):
     n = max(r**k + offset, 0)
     assert introot(n, k) == integer_nthroot(n, k)[0]
+    _assert_estimate_within_one(n, k)
+
+
+def _assert_estimate_within_one(n, k):
+    """The Newton estimate introot starts from (for k >= 3 and n >= 2) lies
+    within one of the floor root, so its exact fix-up takes at most three
+    full-size powers."""
+    if k >= 3 and n >= 2:
+        p = -(-n.bit_length() // k) + 8
+        assert abs(_root_estimate(n, 0, k, p) - integer_nthroot(n, k)[0]) <= 1
 
 
 def _newton_root(n, k):
@@ -249,6 +264,7 @@ def test_introot_matches_sympy(k, small, near_power, seed, offset):
         n = rng.getrandbits(bits)
     r = introot(n, k)
     assert r == integer_nthroot(n, k)[0]
+    _assert_estimate_within_one(n, k)
     if small:
         assert r == _newton_root(n, k)
 

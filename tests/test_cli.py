@@ -121,6 +121,16 @@ def test_tree_depth0(capsys):
     assert out.strip().splitlines() == ["0,2,0,0,0"]
 
 
+def test_tree_deeper_than_the_recursion_limit(capsys):
+    # c = 1 gives each node the one child [a, a + 1) = {a}: a chain of 1201
+    # nodes, printed in preorder without recursion.
+    code, out, err = run(capsys, "tree", "--seed", "2", "--c", "1", "--depth", "1200")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1201
+    assert lines[0] == "0,2,1,0,0" and lines[-1] == "1200,2,0,0,0"
+
+
 def test_tree_cap(capsys):
     code, out, _ = run(
         capsys, "tree", "--seed", "2", "--c", "2", "--depth", "2", "--cap", "2"
@@ -635,15 +645,19 @@ def test_malformed_c_seq_is_a_usage_error(capsys, argv, head):
 
 
 @pytest.mark.parametrize(
-    "row",
-    [None, "2,0.69,not-a-float", "2,0.69", "2,nan,-5.0", "2,0.69,inf",
-     "1,0.69,-2.2"],
-    ids=["missing-file", "bad-float", "short-row", "nan", "inf", "duplicate-k"],
+    "header, row",
+    [("", None)]
+    + [("k,log_m,log_eps,source", row) for row in (
+        "2,0.69,not-a-float", "2,0.69", "2,nan,-5.0", "2,0.69,inf", "1,0.69,-2.2")]
+    # Columns are read by position, so their names must match exactly.
+    + [("k,foo,bar", "2,0.69,-2.2"), ("k,log_eps,log_m", "2,0.69,-2.2")],
+    ids=["missing-file", "bad-float", "short-row", "nan", "inf", "duplicate-k",
+         "unknown-header", "swapped-header"],
 )
-def test_dimension_levels_file_errors(tmp_path, capsys, row):
+def test_dimension_levels_file_errors(tmp_path, capsys, header, row):
     path = tmp_path / "levels.csv"
     if row is not None:
-        path.write_text(f"k,log_m,log_eps,source\n1,0.69,-1.1\n{row}\n")
+        path.write_text(f"{header}\n1,0.69,-1.1\n{row}\n")
     code, out, err = run(capsys, "dimension", "--levels-file", str(path))
     assert code == 2
     assert out == ""
