@@ -9,12 +9,11 @@ of decimal digits the nested interval pins down.
 from primecantor import (
     ExponentSequence,
     PrimeChain,
-    bracket_for_chain,
-    digits,
     extend_greedy,
     verify_representation,
 )
-from primecantor.constant import max_determined_digits
+from primecantor.certified import scaled_pow
+from primecantor.constant import certified_prefix
 
 
 def main():
@@ -22,8 +21,7 @@ def main():
     chain = PrimeChain.seed(2, es)
     print("step  element              certified digits")
     for step in range(5):
-        n = max_determined_digits(chain, limit=60)
-        text = digits(chain, n) if n else "(none yet)"
+        text = certified_prefix(chain, 60)[1] or "(none yet)"
         print(f"{step:>4}  {chain.last:<20} {text}")
         if step < 4:
             chain = extend_greedy(chain, 1)
@@ -32,8 +30,12 @@ def main():
     report = verify_representation(chain)
     print(f"exact verification of all {len(report.levels)} levels:",
           "ok" if report.all_passed else "FAILED")
-    b = bracket_for_chain(chain)
-    print(f"final enclosure width ~ {float(b.width):.3e}")
+    # The level interval [a**e, (a + 1)**e) is wider than e / (a + 1), so for
+    # e = 1/243 a scale 32 bits past a's resolves its width to 24 bits or more.
+    e, a = 1 / chain.exponents.C(len(chain)), chain.last
+    s = a.bit_length() + 32
+    lo, hi = scaled_pow(a, e, 1 << s)[0], scaled_pow(a + 1, e, 1 << s)[1]
+    print(f"final level interval width ~ {(hi - lo) / 2**s:.3e}")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ Hausdorff-dimension lower bounds."""
 
 __version__ = "0.1.0"
 
-from .certified import Bracket, Rational, pow_ceil
+from .certified import Bracket, pow_ceil
 from .chains import (
     ExponentSequence,
     PrimeChain,
@@ -13,7 +13,7 @@ from .chains import (
     enumerate_tree,
     extend_greedy,
 )
-from .constant import bracket_for_chain, digits, verify_representation
+from .constant import digits, verify_representation
 from .dimension import (
     DimensionParams,
     LevelStats,
@@ -37,10 +37,8 @@ __all__ = [
     "ExponentSequence",
     "LevelStats",
     "PrimeChain",
-    "Rational",
     "TreeNode",
     "admissible_interval",
-    "bracket_for_chain",
     "count_primes_in_range",
     "counting_subinterval",
     "digits",

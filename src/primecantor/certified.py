@@ -14,9 +14,9 @@ Arithmetic, 1.5 and 3).  Exact roots and undecided cases go through the
 root primitive ``introot`` on the full-size power.  Both paths take their
 root from the one Newton iteration, ``_root_estimate`` (``math.isqrt`` for
 square roots), and differ only in how they check it: ``introot`` with exact
-powers, the bounded path with truncated powers rounded outward.  Enclosure
-endpoints are dyadic rationals (integer mantissa over a power of two), so
-arithmetic on them never accumulates rounding error.
+powers, the bounded path with truncated powers rounded outward.  A power of
+more than 2**30 bits raises ResourceBudgetError instead.  Enclosure endpoints
+are dyadic rationals, so arithmetic on them never accumulates rounding error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-Rational = Fraction
+from .errors import ResourceBudgetError
 
 
 def introot(n: int, k: int) -> int:
@@ -77,6 +77,7 @@ class Bracket:
 # 3.11, 2-vCPU Xeon), the bounded one no longer for d >= 4; at d <= 3 the
 # exact root is the cheaper one at every size.
 _BOUNDED_MIN_BITS = 1 << 14
+_POWER_BUDGET_BITS = 1 << 30  # 128 MiB: its integer root would take minutes
 
 
 def _pow_bounds(x: int, k: int, p: int) -> Tuple[int, int, int]:
@@ -99,8 +100,11 @@ def _pow_bounds(x: int, k: int, p: int) -> Tuple[int, int, int]:
 
 
 def _below(a: int, s: int, b: int, t: int) -> bool:
-    """a * 2**s < b * 2**t, for integers a, b >= 0."""
-    return a << max(s - t, 0) < b << max(t - s, 0)
+    """a * 2**s < b * 2**t, for integers a, b >= 0, by bit lengths first."""
+    if not (a and b):
+        return a < b
+    la, lb = a.bit_length() + s, b.bit_length() + t
+    return la < lb if la != lb else a << max(s - t, 0) < b << max(t - s, 0)
 
 
 def _root_estimate(a: int, sa: int, d: int, p: int) -> int:
@@ -149,31 +153,34 @@ def _bounded_floor(u: int, v: int, n: int, d: int, scale: int, bits: int) -> Opt
     return None
 
 
-def scaled_pow(q: Rational, e: Rational, scale: int = 1) -> Tuple[int, int]:
+def scaled_pow(q: Fraction, e: Fraction, scale: int = 1) -> Tuple[int, int]:
     """floor and ceiling of scale * q**e, for rational q > 0, rational e >= 0
     and integer scale >= 1 (q and e given as int or Fraction).
 
     With q = u/v and e = n/d, scale * q**e = (t / w) ** (1/d) for
     t = scale**d * u**n and w = v**n, and m**d <= t/w <=> m**d <= t // w for
     integer m: one ``introot`` gives the floor f, exact iff f**d * w == t.
-    When d >= 4 and t would have more than _BOUNDED_MIN_BITS bits,
-    _bounded_floor first tries to prove f < scale * q**e < f + 1 from
-    truncated powers; every case it leaves open takes the exact path.
+    When 4 <= d < 2**32 (past that, a float start cannot seed Newton) and t
+    would have more than _BOUNDED_MIN_BITS bits, _bounded_floor first tries
+    to prove f < scale * q**e < f + 1 from truncated powers; every case it
+    leaves open takes the exact path, unless t or w would pass the budget.
     """
     u, v, n, d = q.numerator, q.denominator, e.numerator, e.denominator
     if u <= 0 or n < 0 or scale < 1:
         raise ValueError("scaled_pow requires q > 0, e >= 0 and scale >= 1")
     bits = scale.bit_length() + n * (u.bit_length() - v.bit_length()) // d
-    if d >= 4 and d * bits > _BOUNDED_MIN_BITS:
+    if 4 <= d < 1 << 32 and _BOUNDED_MIN_BITS // d < bits <= _POWER_BUDGET_BITS:
         f = _bounded_floor(u, v, n, d, scale, bits)
         if f is not None:
             return f, f + 1
+    if d * scale.bit_length() + n * max(u, v).bit_length() > _POWER_BUDGET_BITS:
+        raise ResourceBudgetError(f"the exponent {e} needs a power over 2**30 bits")
     t, w = scale ** d * u ** n, v ** n
     f = introot(t // w, d)
     return f, (f if f ** d * w == t else f + 1)
 
 
-def pow_floor(q: Rational, c: Rational) -> int:
+def pow_floor(q: Fraction, c: Fraction) -> int:
     """floor(q ** c) exactly, for rational q > 0 and rational c >= 1."""
     q, c = Fraction(q), Fraction(c)
     if q <= 0 or c < 1:
@@ -181,7 +188,7 @@ def pow_floor(q: Rational, c: Rational) -> int:
     return scaled_pow(q, c)[0]
 
 
-def pow_ceil(a: int, c: Rational) -> int:
+def pow_ceil(a: int, c: Fraction) -> int:
     """ceil(a ** c) exactly, for integer a >= 1 and rational c >= 1."""
     c = Fraction(c)
     if a < 1 or c < 1:
@@ -189,14 +196,7 @@ def pow_ceil(a: int, c: Rational) -> int:
     return scaled_pow(a, c)[1]
 
 
-def slope_scale(x: int, e: Fraction) -> int:
-    """About -log2 of e * x**(e - 1), the slope of y**e near x for e = 1/C,
-    from the bit length of x; callers add their own guard bits."""
-    c_f = e.denominator / e.numerator  # float(C), correctly rounded
-    return int(math.log2(c_f) - (1.0 / c_f - 1.0) * (x.bit_length() - 1))
-
-
-def root_enclosure(a: int, big_c: Rational, max_width: Rational) -> Bracket:
+def root_enclosure(a: int, big_c: Fraction, max_width: Fraction) -> Bracket:
     """A Bracket containing a ** (1/C) with width <= max_width.
 
     Exact roots come back as degenerate closed brackets; otherwise the

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Literal, Optional, Sequence, Tuple
 
 from . import primality
-from .certified import Rational, pow_ceil, scaled_pow
+from .certified import pow_ceil, scaled_pow
 from .errors import ResourceBudgetError
 
 Policy = Literal["full", "counting"]
@@ -36,11 +36,11 @@ class ExponentSequence:
     tail: Fraction
 
     @classmethod
-    def constant(cls, c: Rational) -> "ExponentSequence":
+    def constant(cls, c: Fraction) -> "ExponentSequence":
         return cls.of((), c)
 
     @classmethod
-    def of(cls, head: Sequence[Rational], tail: Rational) -> "ExponentSequence":
+    def of(cls, head: Sequence[Fraction], tail: Fraction) -> "ExponentSequence":
         return cls(tuple(Fraction(c) for c in head), Fraction(tail))
 
     def __post_init__(self):
@@ -105,7 +105,7 @@ class PrimeChain:
         return self.exponents.c(len(self.elements) + 1)
 
 
-def admissible_interval(a: int, c: Rational) -> Tuple[int, int]:
+def admissible_interval(a: int, c: Fraction) -> Tuple[int, int]:
     """Integer bounds [ceil(a**c), ceil((a+1)**c) - 1].
 
     Any prime in this interval extends the chain while keeping every
@@ -116,7 +116,7 @@ def admissible_interval(a: int, c: Rational) -> Tuple[int, int]:
     return pow_ceil(a, c), pow_ceil(a + 1, c) - 1
 
 
-def counting_subinterval(a: int, c: Rational) -> Tuple[int, int]:
+def counting_subinterval(a: int, c: Fraction) -> Tuple[int, int]:
     """Integer bounds of [a**c, a**c + a**(c-1)], the short-density window."""
     c = Fraction(c)
     return pow_ceil(a, c), scaled_pow(a, c - 1, a + 1)[0]

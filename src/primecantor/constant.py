@@ -1,4 +1,4 @@
-"""Certified enclosures and digit output for the constant behind a chain.
+"""Certified digits of the constant behind a chain, and its verification.
 
 Every chain (a_1, ..., a_k) determines the half-open level interval
 [a_k ** (1/C_k), (a_k + 1) ** (1/C_k)); all constants A in it satisfy
@@ -14,27 +14,9 @@ from os.path import commonprefix
 from typing import List, Tuple
 
 from . import primality
-from .certified import Bracket, dyadic, scaled_pow, slope_scale
+from .certified import scaled_pow
 from .chains import PrimeChain, admissible_interval
 from .errors import NeedMoreDepthError
-
-
-def bracket_for_chain(chain: PrimeChain) -> Bracket:
-    """Outward-rounded dyadic enclosure of the chain's level interval.
-
-    The returned closed bracket contains [a**(1/C), (a+1)**(1/C)]: its upper
-    end floor(2**s * (a+1)**(1/C)) / 2**s + 2**-s lies strictly above
-    (a+1)**(1/C).  The scale 2**-s is the mean-value width estimate plus 8
-    guard bits, so the rounding slack per endpoint is below 1/8 of the
-    enclosed width.
-    """
-    e = 1 / chain.exponents.C(len(chain))
-    a = chain.last
-
-    s = max(8, slope_scale(a, e) + 8)
-    m_lo = scaled_pow(a, e, 1 << s)[0]
-    m_hi = scaled_pow(a + 1, e, 1 << s)[0] + 1
-    return Bracket(dyadic(m_lo, s), dyadic(m_hi, s))
 
 
 def max_determined_digits(chain: PrimeChain, limit: int = 64) -> int:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import pairwise
 from typing import Dict, List, Sequence, Tuple
 
-from .certified import Rational, scaled_pow, slope_scale
+from .certified import scaled_pow
 from .chains import ExponentSequence, TreeNode
 from .errors import InapplicableLevelsError, TruncatedTreeError, UncertifiedGapError
 
@@ -140,10 +140,13 @@ def paper_levels_simple(
     log_p1 = math.log(p + 1)
     log3 = math.log(3.0)
     out = []
-    for k in range(2, k_max + 1):
-        log_m = math.log(d1) + 3.0 ** (k - 2) * (2.0 - delta) * log_p
-        log_eps = -k * log3 + (1.0 / 3.0 - 3.0 ** (k - 1)) * log_p1
-        out.append(LevelStats(k, log_m, log_eps))
+    try:
+        for k in range(2, k_max + 1):
+            log_m = math.log(d1) + 3.0 ** (k - 2) * (2.0 - delta) * log_p
+            log_eps = -k * log3 + (1.0 / 3.0 - 3.0 ** (k - 1)) * log_p1
+            out.append(LevelStats(k, log_m, log_eps))
+    except (OverflowError, ValueError) as exc:
+        raise _past_float_range(exc, k_max, out) from None
     return out
 
 
@@ -173,17 +176,27 @@ def paper_levels_general(
     out = []
     c1 = exponents.C(1)
     c_prev = c1
-    for k in range(2, k_max + 1):
-        c_k = c_prev * exponents.c(k)
-        log_eps = -_log_frac(c_k) + float((1 - c_k) / c1) * log_a1p
-        log_m = (
-            math.log(params.Q)
-            + float((c_k - c_prev) / c1) * log_a1
-            - params.L * (_log_frac(c_k) + math.log(log_a1))
-        )
-        out.append(LevelStats(k, log_m, log_eps))
-        c_prev = c_k
+    try:
+        for k in range(2, k_max + 1):
+            c_k = c_prev * exponents.c(k)
+            log_eps = -_log_frac(c_k) + float((1 - c_k) / c1) * log_a1p
+            log_m = (
+                math.log(params.Q)
+                + float((c_k - c_prev) / c1) * log_a1
+                - params.L * (_log_frac(c_k) + math.log(log_a1))
+            )
+            out.append(LevelStats(k, log_m, log_eps))
+            c_prev = c_k
+    except (OverflowError, ValueError) as exc:
+        raise _past_float_range(exc, k_max, out) from None
     return out
+
+
+def _past_float_range(exc: Exception, k_max: int, out: List[LevelStats]) -> Exception:
+    """exc at the first analytic level, else a ValueError naming k_max."""
+    return exc if not out else ValueError(
+        f"k_max {k_max} is past float range: level {out[-1].k} is the last "
+        "with finite statistics")
 
 
 def _log_frac(q: Fraction) -> float:
@@ -191,7 +204,7 @@ def _log_frac(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-def proposition_bound(a1: int, R: Rational) -> float:
+def proposition_bound(a1: int, R: Fraction) -> float:
     """The closed-form limit 1 / (1 + R / (a1 * ln a1)).
 
     This is the first-order form in 1/a1 of the limit
@@ -263,7 +276,7 @@ def _certified_gap(lower_label: int, upper_label: int, e: Fraction) -> Fraction:
     makes the bound positive for sibling labels (they differ by at least 2);
     a bound that is not raises UncertifiedGapError.
     """
-    s = max(4, slope_scale(upper_label, e) + _GUARD_BITS)
+    s = max(4, _slope_scale(upper_label, e) + _GUARD_BITS)
     gap = (scaled_pow(upper_label, e, 1 << s)[0]
            - scaled_pow(lower_label, e, 1 << s)[1])
     if gap <= 0:
@@ -272,6 +285,12 @@ def _certified_gap(lower_label: int, upper_label: int, e: Fraction) -> Fraction:
             f"certified positive at scale 2**-{s}"
         )
     return Fraction(gap, 1 << s)
+
+
+def _slope_scale(x: int, e: Fraction) -> int:
+    """About -log2 of the slope e * x**(e - 1) of y**e at x, for e = 1/C."""
+    c_f = e.denominator / e.numerator  # float(C), correctly rounded
+    return int(math.log2(c_f) - (1.0 / c_f - 1.0) * (x.bit_length() - 1))
 
 
 def branching_growth_log(x: float, t: float, s: float, L: float) -> float:

@@ -47,7 +47,7 @@ class InapplicableLevelsError(PrimeCantorError):
 
 
 class ResourceBudgetError(PrimeCantorError):
-    """Tree enumeration passed its fixed node budget."""
+    """A fixed budget would be passed: tree nodes, or the bits of a power."""
 
 
 class EmptyCensusError(PrimeCantorError):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from . import primality
-from .certified import Rational, scaled_pow
+from .certified import scaled_pow
 from .chains import counting_subinterval
 from .errors import EmptyCensusError
 
@@ -48,7 +48,7 @@ def _gamma_record(x: int, gamma: Fraction) -> SurveyRecord:
     return SurveyRecord(x, lo, hi, count, ratio)
 
 
-def gamma_survey(x_values: Sequence[int], gamma: Rational) -> List[SurveyRecord]:
+def gamma_survey(x_values: Sequence[int], gamma: Fraction) -> List[SurveyRecord]:
     """Count primes in [x, x + floor(x**gamma)] for each anchor x.
 
     density_ratio = count * ln x / x**gamma, the empirical counterpart of
@@ -70,7 +70,7 @@ def _anchor_upper_bound(X: int, c: Fraction) -> int:
 
 
 def matomaki_fraction(
-    X: int, c: Rational, d_threshold: float
+    X: int, c: Fraction, d_threshold: float
 ) -> Tuple[int, int, float]:
     """Fraction of anchor primes whose counting window is prime-rich.
 

@@ -1,5 +1,6 @@
 """Exact power floors/ceilings and certified root enclosures."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from primecantor.chains import (
     extend_greedy,
 )
 from primecantor.constant import certified_prefix
+from primecantor.errors import ResourceBudgetError
 from primecantor.survey import _anchor_upper_bound
 
 
@@ -471,3 +473,31 @@ def test_exact_roots_reach_introot(monkeypatch):
     _no_full_size_roots(monkeypatch)
     with pytest.raises(FullSizeRoot):
         scaled_pow(*args)
+
+
+def test_dyadic_denominators_give_the_pair_or_a_budget_error():
+    """2**(n / 2**j) for n = 2**(j + 1) + 1 and n = floor(sqrt(5) * 2**j):
+    2 <= n / 2**j < log2(5), so the pair is (4, 5), or (4, 4) at e = 2.  The
+    bounded path settles every denominator below 2**32; past that, the float
+    start cannot seed Newton and the exact power is over the budget, so
+    ResourceBudgetError comes at once instead of a wrong answer, a crash or
+    gigabytes of memory."""
+    for j in range(2, 65):
+        for n in (2 ** (j + 1) + 1, math.isqrt(5 << 2 * j)):
+            e = Fraction(n, 1 << j)
+            if e.denominator < 1 << 32:
+                assert scaled_pow(2, e) == (4, 4 if e == 2 else 5), e
+            else:
+                with pytest.raises(ResourceBudgetError, match=r"over 2\*\*30 bits"):
+                    scaled_pow(2, e)
+
+
+def test_below_decides_distant_exponents_without_shifting():
+    # A shift across the 10**18-bit gap would need an exabit integer.
+    big = 10**18
+    assert certified._below(1, 0, 1, big)
+    assert not certified._below(1, big, 1, 0)
+    assert not certified._below(5, 0, 1, 2)  # equal bit lengths: 5 < 4?
+    assert certified._below(3, big, 1, big + 2)
+    assert not certified._below(0, big, 0, 0)
+    assert certified._below(0, big, 1, 0) and not certified._below(1, 0, 0, big)

@@ -591,6 +591,16 @@ def assert_one_error_line(err):
         # The closed-form bound, like the analytic levels, needs theta > 0.
         (("dimension", "--bound", "--seed", "11", "--c", "1"), 2),
         (("dimension", "--bound", "--seed", "11", "--c-seq", "1,2"), 2),
+        # Exponents whose cleared powers pass the 2**30-bit budget: the
+        # interval after seed 2 for c = floor(sqrt(5) 2**64) / 2**64 and for
+        # c = 2 + 2**-64, then the digits of the chain 2, 5, 29, 853 for
+        # c = 2 + 2**-30, whose C_4 has a denominator near 2**124.
+        (("mills", "--seed", "2", "--c", "41248173712355948587/18446744073709551616",
+          "--steps", "3", "--allow-partial"), 1),
+        (("mills", "--seed", "2", "--c", "36893488147419103233/18446744073709551616",
+          "--steps", "3", "--allow-partial"), 1),
+        (("mills", "--seed", "2", "--c", "2147483649/1073741824",
+          "--steps", "3", "--allow-partial"), 1),
     ],
     ids=["no-prime-in-interval", "measured-depth0", "no-exponent",
          "digits-below-integer-part", "no-preset", "no-p",
@@ -598,7 +608,8 @@ def assert_one_error_line(err):
          "paper-general-composite-seed", "bound-composite-seed",
          "tree-node-budget",
          "negative-delta", "delta-above-one", "bound-huge-c",
-         "paper-general-huge-c", "bound-theta-zero", "bound-c-seq-theta-zero"],
+         "paper-general-huge-c", "bound-theta-zero", "bound-c-seq-theta-zero",
+         "power-budget-sqrt5", "power-budget-2+2^-64", "power-budget-digits"],
 )
 def test_errors_exit_with_one_line(capsys, monkeypatch, argv, want):
     # Only the tree-node-budget row builds a tree of more than its root.
@@ -607,6 +618,20 @@ def test_errors_exit_with_one_line(capsys, monkeypatch, argv, want):
     assert code == want
     assert out == ""
     assert_one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "argv, last",
+    [(("--preset", "paper-general", "--p", "11", "--c", "2", "--kmax", "2000"), 1023),
+     (("--preset", "paper-simple", "--p", "11", "--kmax", "700"), 646)],
+    ids=["paper-general", "paper-simple"],
+)
+def test_kmax_past_float_range_is_a_usage_error(capsys, argv, last):
+    code, out, err = run(capsys, "dimension", *argv)
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err)
+    assert f"k_max {argv[-1]} is past float range: level {last} is the last" in err
 
 
 @pytest.mark.parametrize(

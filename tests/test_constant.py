@@ -1,4 +1,4 @@
-"""Certified enclosures, digit extraction, and representation verification."""
+"""Level-interval enclosures, digit extraction, and representation verification."""
 
 from collections import Counter
 from fractions import Fraction
@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 from sympy import integer_nthroot
 
 from primecantor import primality
-from primecantor.certified import root_enclosure
+from primecantor.certified import root_enclosure, scaled_pow
 from primecantor.chains import ExponentSequence, PrimeChain, extend_greedy
 from primecantor.constant import (
-    bracket_for_chain,
     certified_prefix,
     digits,
     max_determined_digits,
     verify_representation,
 )
+from primecantor.dimension import _slope_scale
 from primecantor.errors import NeedMoreDepthError
 
 
@@ -25,30 +25,44 @@ def mills_chain(steps=3):
     return extend_greedy(PrimeChain.seed(2, es), steps)
 
 
+def bracket_for_chain(chain):
+    """(lo, hi, s): lo and hi enclose the level interval [a**e, (a + 1)**e),
+    e = 1/C, as the floor at a and the ceiling at a + 1 of one scaled_pow
+    each, at the scale 2**s of the mean-value width estimate plus 8 guard
+    bits, the estimate that sets the scale of every certified sibling gap."""
+    e, a = 1 / chain.exponents.C(len(chain)), chain.last
+    s = max(8, _slope_scale(a, e) + 8)
+    return (Fraction(scaled_pow(a, e, 1 << s)[0], 1 << s),
+            Fraction(scaled_pow(a + 1, e, 1 << s)[1], 1 << s), s)
+
+
 def test_bracket_for_chain_seed_only():
     chain = mills_chain(0)
-    b = bracket_for_chain(chain)
+    lo, hi, _ = bracket_for_chain(chain)
     # Encloses [2**(1/3), 3**(1/3)): certify with integer cubes.
-    assert b.lo**3 <= 2
-    assert 3 <= b.hi**3
-    assert 1.25 < float(b.lo) < 1.26
-    assert 1.44 < float(b.hi) < 1.45
+    assert lo**3 <= 2
+    assert 3 <= hi**3
+    assert 1.25 < float(lo) < 1.26
+    assert 1.44 < float(hi) < 1.45
 
 
 def test_bracket_for_chain_trivial_exponent_one():
     es = ExponentSequence.constant(1)
     chain = PrimeChain.seed(3, es)
-    b = bracket_for_chain(chain)
+    lo, hi, _ = bracket_for_chain(chain)
     # Encloses the true interval [3, 4) with only outward rounding slack.
-    assert b.lo <= 3 and 4 <= b.hi
-    assert b.hi - 4 <= b.width / 8
+    assert lo <= 3 and 4 <= hi
+    assert hi - 4 <= (hi - lo) / 8
 
 
 def test_bracket_for_chain_depth3_width():
     chain = mills_chain(3)
-    b = bracket_for_chain(chain)
-    assert b.width < Fraction(1, 10**9)
-    assert abs(float((b.lo + b.hi) / 2) - 1.3063778838) < 1e-9
+    lo, hi, _ = bracket_for_chain(chain)
+    assert hi - lo < Fraction(1, 10**9)
+    assert abs(float((lo + hi) / 2) - 1.3063778838) < 1e-9
+    # certified_prefix reads the same interval: its 9 digits truncate it.
+    n, text = certified_prefix(chain, 9)
+    assert n == 9 and lo - Fraction(1, 10**8) < Fraction(text) <= hi
 
 
 def test_digits_examples():
@@ -164,11 +178,12 @@ def test_report_to_dict_round_trips_flags():
 @settings(max_examples=8, deadline=None)
 def test_brackets_nest_with_depth(steps):
     # Each extension refines the previous enclosure: intervals must nest.
-    outer = bracket_for_chain(mills_chain(steps))
+    outer_lo, outer_hi, _ = bracket_for_chain(mills_chain(steps))
     if steps < 3:
-        inner = bracket_for_chain(mills_chain(steps + 1))
-        assert outer.lo <= inner.lo + outer.width / 4
-        assert inner.hi <= outer.hi + outer.width / 4
+        inner_lo, inner_hi, _ = bracket_for_chain(mills_chain(steps + 1))
+        width = outer_hi - outer_lo
+        assert outer_lo <= inner_lo + width / 4
+        assert inner_hi <= outer_hi + width / 4
 
 
 def seed_chain(p, c, steps=0):
@@ -198,9 +213,9 @@ def test_digits_with_several_integer_digits():
 @settings(max_examples=40, deadline=None)
 def test_bracket_slack_below_an_eighth_of_the_width(p, c, steps):
     # The scale is computed once, not escalated: its guard bits must keep the
-    # rounding slack 2**-s (at most 1/denominator) under width/8.
-    b = bracket_for_chain(seed_chain(p, c, steps))
-    assert 8 * Fraction(1, max(b.lo.denominator, b.hi.denominator)) < b.width
+    # rounding slack 2**-s under width/8.
+    lo, hi, s = bracket_for_chain(seed_chain(p, c, steps))
+    assert 8 * Fraction(1, 1 << s) < hi - lo
 
 
 def test_prefix_empty_when_the_integer_part_is_open():

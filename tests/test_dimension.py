@@ -240,6 +240,26 @@ def test_paper_levels_general_needs_positive_theta():
         paper_levels_general(params, es, 4)
 
 
+@pytest.mark.parametrize(
+    "build, last",
+    [
+        (lambda k_max: paper_levels_simple(11, 0.5, 0.01, k_max), 646),
+        (lambda k_max: paper_levels_general(
+            DimensionParams(a1=11), ExponentSequence.constant(2), k_max), 1023),
+        # float((1 - C_k) / C_1) itself overflows here, not its product.
+        (lambda k_max: paper_levels_general(
+            DimensionParams(a1=2), ExponentSequence.constant(10), k_max), 309),
+    ],
+    ids=["simple", "general-inf", "general-overflow"],
+)
+def test_analytic_levels_past_float_range_name_k_max(build, last):
+    assert build(last)[-1].k == last
+    with pytest.raises(ValueError) as exc:
+        build(last + 1)
+    assert str(exc.value) == (f"k_max {last + 1} is past float range: level "
+                              f"{last} is the last with finite statistics")
+
+
 def test_proposition_bound_values():
     assert proposition_bound(2, 3) == pytest.approx(
         1 / (1 + 3 / (2 * LOG2)), rel=1e-12

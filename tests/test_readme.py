@@ -11,7 +11,7 @@ def test_library_tour_runs_as_documented():
                      re.M | re.S)
     scope = {}
     exec(tour.group(1), scope)
-    chain, digits = scope["chain"], scope["digits"]
+    chain, certified_prefix = scope["chain"], scope["certified_prefix"]
     assert chain.elements == (2, 11, 1361, 2521008887)
-    assert digits(chain, 9) == "1.30637788"
+    assert certified_prefix(chain, 9) == (9, "1.30637788")
     assert scope["verify_representation"](chain).all_passed
