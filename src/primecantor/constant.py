@@ -38,28 +38,30 @@ def digits(chain: PrimeChain, n: int) -> str:
 
 def certified_prefix(chain: PrimeChain, limit: int) -> Tuple[int, str]:
     """Count and text of the longest significant-digit prefix (<= limit
-    digits) shared by the whole level interval [lo, hi); (0, "") unless the
-    g integer digits are pinned down, and a ValueError for limit < g.
+    digits) shared by the whole level interval [lo, hi) = [a**e, (a+1)**e),
+    e = 1/C; (0, "") unless the g integer digits are pinned down, and a
+    ValueError for limit < g.
 
-    F = floor(10**m * lo) and G = the largest integer below 10**m * hi, with
-    m = limit - g, are read once; floor(floor(y) / 10**j) = floor(y / 10**j),
-    and likewise for G, so their common leading digits are the certified ones.
+    F = floor(10**m * lo) and G = the largest integer below 10**m * hi are
+    read once; floor(floor(y) / 10**j) = floor(y / 10**j), and likewise for
+    G, so their common leading digits are the certified ones.  y**e is
+    concave, so hi - lo >= (a + 1)**(e - 1) / C, and D certified decimals
+    need hi - lo <= 10**-D: D <= log10(numerator of C) + log10(a + 1) < M =
+    (bits(a + 1) + bits(numerator of C)) // 3 + 1.  So m = min(limit, M)
+    decimals lose no certified digit, however large limit is.
     """
     if limit < 1:
         raise ValueError("digit count must be positive")
-    e = 1 / chain.exponents.C(len(chain))
-    a = chain.last
-
-    int_part = scaled_pow(a, e)[0]
-    g = len(str(int_part))
+    big_c, a = chain.exponents.C(len(chain)), chain.last
+    m = min(limit, ((a + 1).bit_length() + big_c.numerator.bit_length()) // 3 + 1)
+    lo = str(scaled_pow(a, 1 / big_c, 10 ** m)[0])
+    hi = str(scaled_pow(a + 1, 1 / big_c, 10 ** m)[1] - 1)
+    g = len(lo) - m
     if limit < g:
         raise ValueError(
             f"the constant has {g} integer digits; request at least {g} digits"
         )
-    m = limit - g
-    lo = str(scaled_pow(a, e, 10 ** m)[0] if m else int_part)
-    hi = str(scaled_pow(a + 1, e, 10 ** m)[1] - 1)
-    n = len(commonprefix([lo, hi])) if len(lo) == len(hi) else 0
+    n = min(len(commonprefix([lo, hi])), limit) if len(lo) == len(hi) else 0
     if n < g:
         return 0, ""
     return n, (lo[:g] + "." + lo[g:n] if n > g else lo[:g])

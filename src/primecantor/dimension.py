@@ -56,8 +56,9 @@ class DimensionParams:
     def __post_init__(self):
         if self.a1 < 2:
             raise ValueError("a1 must be >= 2")
-        if self.Q <= 0 or self.L <= 0:
-            raise ValueError("Q and L must be positive")
+        for name, value in (("Q", self.Q), ("L", self.L)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.R < 1 + self.theta:
             raise ValueError("R must be >= 1 + theta")
 
@@ -132,8 +133,8 @@ def paper_levels_simple(
         raise ValueError("p must be >= 2")
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    if d1 <= 0:
-        raise ValueError("d1 must be positive")
+    if not 0 < d1 < math.inf:
+        raise ValueError("d1 must be positive and finite")
     if not 0 <= delta < 1:
         raise ValueError("delta must lie in [0, 1)")
     log_p = math.log(p)

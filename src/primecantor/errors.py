@@ -5,10 +5,6 @@ class PrimeCantorError(Exception):
     """Base class for package errors."""
 
 
-class RangeTooLargeError(PrimeCantorError):
-    """A prime-enumeration request exceeds the configured work budget."""
-
-
 class NoPrimeInIntervalError(PrimeCantorError):
     """An admissible interval turned out to contain no prime.
 
@@ -47,7 +43,7 @@ class InapplicableLevelsError(PrimeCantorError):
 
 
 class ResourceBudgetError(PrimeCantorError):
-    """A fixed budget would be passed: tree nodes, or the bits of a power."""
+    """A fixed work budget would be passed: sieve width, tree nodes or power bits."""
 
 
 class EmptyCensusError(PrimeCantorError):

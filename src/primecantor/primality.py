@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator, List, Tuple
 
-from .errors import NoPrimeInIntervalError, RangeTooLargeError
+from .errors import NoPrimeInIntervalError, ResourceBudgetError
 
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_j, the smallest composite that is a strong probable prime to each of
@@ -370,7 +370,7 @@ def _check_window(lo: int, hi: int) -> None:
     if lo > hi:
         raise ValueError(f"prime enumeration requires lo <= hi, got [{lo}, {hi}]")
     if hi - lo + 1 > WIDTH_LIMIT:
-        raise RangeTooLargeError(
+        raise ResourceBudgetError(
             f"interval width {hi - lo + 1} exceeds budget {WIDTH_LIMIT}"
         )
 
@@ -378,7 +378,7 @@ def _check_window(lo: int, hi: int) -> None:
 def primes_in_range(lo: int, hi: int) -> List[int]:
     """Exactly the primes p with lo <= p <= hi, ascending.
 
-    Raises ValueError when lo > hi, and RangeTooLargeError when the width
+    Raises ValueError when lo > hi, and ResourceBudgetError when the width
     exceeds WIDTH_LIMIT.
     """
     _check_window(lo, hi)

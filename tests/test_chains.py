@@ -15,7 +15,7 @@ from primecantor.chains import (
     extend_greedy,
 )
 from primecantor.constant import verify_representation
-from primecantor.errors import RangeTooLargeError, ResourceBudgetError
+from primecantor.errors import ResourceBudgetError
 from primecantor.primality import primes_in_range
 
 
@@ -195,7 +195,7 @@ def test_enumerate_tree_over_budget_level_fails_before_sieving(monkeypatch):
         return counted[-1]
 
     monkeypatch.setattr(primality, "count_primes_in_range", counting)
-    with pytest.raises(RangeTooLargeError, match="width 1657"):
+    with pytest.raises(ResourceBudgetError, match="width 1657"):
         enumerate_tree(2, ExponentSequence.constant(3), 1, count_leaves=True)
     assert counted == []
 

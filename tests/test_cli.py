@@ -635,6 +635,22 @@ def test_kmax_past_float_range_is_a_usage_error(capsys, argv, last):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [("--preset", "paper-general", "--p", "11", "--c", "2", "--Q", "nan"),
+     ("--preset", "paper-general", "--p", "11", "--c", "2", "--Q", "inf"),
+     ("--preset", "paper-general", "--p", "11", "--c", "2", "--L", "inf"),
+     ("--preset", "paper-simple", "--p", "11", "--d1", "nan")],
+    ids=["Q-nan", "Q-inf", "L-inf", "d1-nan"],
+)
+def test_non_finite_model_parameters_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, "dimension", *argv)
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err)
+    assert f"{argv[-2][2:]} must be positive and finite" in err
+
+
+@pytest.mark.parametrize(
     "flags",
     [("--c", "3", "--c-seq", "2"), ("--c", "3", "--c-tail", "5")],
     ids=["c-and-c-seq", "c-and-c-tail"],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import integer_nthroot
 
-from primecantor import primality
+from primecantor import constant, primality
 from primecantor.certified import root_enclosure, scaled_pow
 from primecantor.chains import ExponentSequence, PrimeChain, extend_greedy
 from primecantor.constant import (
@@ -247,6 +247,36 @@ def reference_prefix(chain, limit):
         count, digits_text = n, str(f_lo)
         text = digits_text[:g] + "." + digits_text[g:] if n > g else digits_text
     return count, text
+
+
+@pytest.mark.parametrize(
+    "chain, limit",
+    [(seed_chain(100003, 2, steps=1), 10**5),
+     (seed_chain(31, Fraction(3, 2)), 10**5)],
+    ids=["316.23", "open-integer-part"],
+)
+def test_certified_prefix_far_past_support(chain, limit):
+    assert certified_prefix(chain, limit) == reference_prefix(chain, limit)
+
+
+@pytest.mark.parametrize("limit", [12, 10**3, 10**6])
+def test_certified_prefix_reads_the_interval_twice(monkeypatch, limit):
+    # The interval [a**(1/C), (a + 1)**(1/C)) is wider than 10**-M, so no
+    # read finer than 10**M can certify another digit: a request for 10**6
+    # digits reads at 10**M, not at 10**(10**6 - 1).
+    chain = seed_chain(2, 3, 3)
+    big_c = chain.exponents.C(len(chain))
+    bound = ((chain.last + 1).bit_length() + big_c.numerator.bit_length()) // 3 + 1
+    scales = []
+
+    def spy(q, e, scale=1):
+        assert scale <= 10**bound
+        scales.append(scale)
+        return scaled_pow(q, e, scale)
+
+    monkeypatch.setattr(constant, "scaled_pow", spy)
+    assert certified_prefix(chain, limit) == (12, "1.30637788386")
+    assert scales == [10 ** min(limit, bound)] * 2
 
 
 @given(

@@ -50,6 +50,15 @@ def test_dimension_params_validation():
         DimensionParams(a1=10, theta=Fraction(5), R=Fraction(3))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+def test_model_parameters_must_be_positive_and_finite(value):
+    for name in ("Q", "L"):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+            DimensionParams(a1=11, **{name: value})
+    with pytest.raises(ValueError, match="^d1 must be positive and finite$"):
+        paper_levels_simple(11, value, 0.01, 4)
+
+
 def test_middle_thirds_estimate_matches_closed_form():
     # Finite-k value of the two-branch, 3**-k-gap construction:
     # (k-1) log2 / (k log3 - log2).

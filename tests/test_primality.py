@@ -11,7 +11,7 @@ from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from primecantor import primality
 from primecantor.chains import counting_subinterval
-from primecantor.errors import NoPrimeInIntervalError, RangeTooLargeError
+from primecantor.errors import NoPrimeInIntervalError, ResourceBudgetError
 from primecantor.primality import (
     DEFAULT_SIEVE,
     DETERMINISTIC_LIMIT,
@@ -175,9 +175,9 @@ def test_primes_in_range_rejects_bad_bounds():
 
 def test_primes_in_range_width_budget(monkeypatch):
     monkeypatch.setattr(primality, "WIDTH_LIMIT", 10)
-    with pytest.raises(RangeTooLargeError):
+    with pytest.raises(ResourceBudgetError):
         primes_in_range(0, 100)
-    with pytest.raises(RangeTooLargeError):
+    with pytest.raises(ResourceBudgetError):
         count_primes_in_range(0, 100)
     assert primes_in_range(8, 17) == [11, 13, 17]
 
