@@ -3,7 +3,7 @@ Hausdorff-dimension lower bounds."""
 
 __version__ = "0.1.0"
 
-from .certified import Bracket, pow_ceil
+from .certified import pow_ceil
 from .chains import (
     ExponentSequence,
     PrimeChain,
@@ -13,7 +13,7 @@ from .chains import (
     enumerate_tree,
     extend_greedy,
 )
-from .constant import digits, verify_representation
+from .constant import verify_representation
 from .dimension import (
     DimensionParams,
     LevelStats,
@@ -32,7 +32,6 @@ from .primality import (
 from .survey import gamma_survey, matomaki_fraction
 
 __all__ = [
-    "Bracket",
     "DimensionParams",
     "ExponentSequence",
     "LevelStats",
@@ -41,7 +40,6 @@ __all__ = [
     "admissible_interval",
     "count_primes_in_range",
     "counting_subinterval",
-    "digits",
     "enumerate_tree",
     "extend_greedy",
     "falconer_profile",

@@ -9,9 +9,9 @@ estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Literal, Optional, Sequence, Tuple
+from typing import Literal, Optional, Sequence, Tuple
 
 from . import primality
 from .certified import pow_ceil, scaled_pow
@@ -145,14 +145,14 @@ def extend_greedy(chain: PrimeChain, steps: int) -> PrimeChain:
     return chain
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """One node of the (breadth-limited) construction tree: the prime
     ``label`` = a_level of every chain through it, the seed at level 1."""
 
     label: int
     level: int
-    children: List["TreeNode"] = field(default_factory=list)
+    children: Sequence["TreeNode"] = ()  # a leaf's: the shared empty tuple
     branching_total: int = 0
 
     @property
@@ -186,8 +186,8 @@ def enumerate_tree(
     ``count_leaves`` asks for their successor counts too (which costs one
     more level of sieving).
 
-    The tree grows one level per pass, sieving the level's intervals widest
-    first: an interval over the width budget fails before any is sieved.
+    One pass per level sieves its intervals widest first (one over the width
+    budget fails before any is sieved) and sets each node as it goes.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -199,15 +199,13 @@ def enumerate_tree(
         leaves = k == depth + 2
         sieve = primality.count_primes_in_range if leaves else primality.primes_in_range
         spans = [_successor_interval(n.label, exponents.c(k), policy) for n in level]
-        found = {}
         for _, i in sorted((lo - hi, i) for i, (lo, hi) in enumerate(spans)):
-            found[i] = sieve(*spans[i])
-            size += 0 if leaves else len(found[i][:branch_cap])
-            if size > NODE_BUDGET:
-                raise ResourceBudgetError(f"tree node budget {NODE_BUDGET} exceeded")
-        for i, node in enumerate(level):
-            node.branching_total = found[i] if leaves else len(found[i])
+            node, found = level[i], sieve(*spans[i])
+            node.branching_total = found if leaves else len(found)
             if not leaves:
-                node.children = [TreeNode(p, k) for p in found[i][:branch_cap]]
+                size += len(kept := found[:branch_cap])
+                if size > NODE_BUDGET:
+                    raise ResourceBudgetError(f"tree node budget {NODE_BUDGET} exceeded")
+                node.children = [TreeNode(p, k) for p in kept]
         level = [child for node in level for child in node.children]
     return root

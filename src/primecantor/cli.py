@@ -262,6 +262,8 @@ def _read_levels_file(path: str) -> List[dimension.LevelStats]:
             out.append(
                 dimension.LevelStats(int(parts[0]), float(parts[1]), float(parts[2]))
             )
+    if not out:
+        raise ValueError(f"{path}: no level rows after the header")
     return out
 
 

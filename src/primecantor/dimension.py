@@ -183,7 +183,8 @@ def paper_levels_general(
             log_eps = -_log_frac(c_k) + float((1 - c_k) / c1) * log_a1p
             log_m = (
                 math.log(params.Q)
-                + float((c_k - c_prev) / c1) * log_a1
+                # (C_k - C_{k-1}) / C_1 without subtracting two long fractions
+                + float(c_prev * (exponents.c(k) - 1) / c1) * log_a1
                 - params.L * (_log_frac(c_k) + math.log(log_a1))
             )
             out.append(LevelStats(k, log_m, log_eps))

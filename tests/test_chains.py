@@ -137,7 +137,7 @@ def test_extend_greedy_zero_steps():
 def test_enumerate_tree_depth0():
     es = ExponentSequence.constant(3)
     root = enumerate_tree(2, es, 0)
-    assert root.children == []
+    assert root.children == ()
     assert root.branching_total == 0
     assert not root.truncated
     assert root.level == 1
@@ -149,7 +149,14 @@ def test_enumerate_tree_depth1_full():
     assert root.branching_total == 5
     assert [c.label for c in root.children] == [11, 13, 17, 19, 23]
     assert not root.truncated
-    assert all(c.level == 2 and c.children == [] for c in root.children)
+    assert all(c.level == 2 and c.children == () for c in root.children)
+
+
+def test_tree_nodes_hold_only_their_fields():
+    # Leaves share the empty tuple and no node carries a __dict__.
+    nodes = list(enumerate_tree(2, ExponentSequence.constant(3), 1).walk())
+    assert [n.children == () for n in nodes] == [False] + [True] * 5
+    assert not any(hasattr(n, "__dict__") for n in nodes)
 
 
 def test_enumerate_tree_cap_records_true_totals():

@@ -703,3 +703,13 @@ def test_dimension_levels_file_errors(tmp_path, capsys, header, row):
     assert code == 2
     assert out == ""
     assert_one_error_line(err)
+
+
+def test_dimension_levels_file_without_rows(tmp_path, capsys):
+    path = tmp_path / "levels.csv"
+    path.write_text("k,log_m,log_eps\n")
+    code, out, err = run(capsys, "dimension", "--levels-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err)
+    assert f"{path}: no level rows" in err

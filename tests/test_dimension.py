@@ -242,6 +242,30 @@ def test_paper_levels_general_estimate_approaches_one():
     assert prev > 0.999
 
 
+@pytest.mark.parametrize(
+    "es",
+    [ExponentSequence.constant(2), ExponentSequence.constant(Fraction(7, 3)),
+     ExponentSequence.of([3, Fraction(5, 2)], 2)],
+    ids=["c=2", "c=7/3", "3,5/2-tail-2"],
+)
+def test_paper_levels_general_matches_its_formulas(es):
+    # log m_k reads (C_k - C_{k-1}) / C_1 as C_{k-1} (c_k - 1) / C_1: the same
+    # Fraction, so every float must equal the one the formula gives directly.
+    params = DimensionParams(a1=1009, Q=0.5, L=1.5)
+    log_a1, c1 = math.log(1009), es.C(1)
+    levels = paper_levels_general(params, es, 30)
+    assert [lvl.k for lvl in levels] == list(range(2, 31))
+    for lvl in levels:
+        c_prev, c_k = es.C(lvl.k - 1), es.C(lvl.k)
+        assert lvl.log_eps == (-dimension._log_frac(c_k)
+                               + float((1 - c_k) / c1) * math.log(1010))
+        assert lvl.log_m == (
+            math.log(0.5)
+            + float((c_k - c_prev) / c1) * log_a1
+            - 1.5 * (dimension._log_frac(c_k) + math.log(log_a1))
+        )
+
+
 def test_paper_levels_general_needs_positive_theta():
     params = DimensionParams(a1=101)
     es = ExponentSequence.constant(1)
