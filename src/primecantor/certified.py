@@ -22,7 +22,6 @@ are dyadic rationals, so arithmetic on them never accumulates rounding error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -55,17 +54,16 @@ def dyadic(mantissa: int, scale: int) -> Fraction:
     return Fraction(mantissa, 1 << scale)
 
 
-@dataclass(frozen=True)
 class Bracket:
     """The closed interval [lo, hi] with dyadic endpoints, a certified
     enclosure of a real number or of an interval."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise ValueError("Bracket endpoints out of order")
+        self.lo, self.hi = lo, hi
 
     @property
     def width(self) -> Fraction:

@@ -9,7 +9,6 @@ estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional, Sequence, Tuple
 
@@ -23,7 +22,6 @@ Policy = Literal["full", "counting"]
 NODE_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
 class ExponentSequence:
     """The exponent sequence (c_k): an explicit head, then a constant tail.
 
@@ -32,8 +30,12 @@ class ExponentSequence:
     C_k are computed on demand and stay exact.
     """
 
-    head: Tuple[Fraction, ...]
-    tail: Fraction
+    __slots__ = ("head", "tail")
+
+    def __init__(self, head: Tuple[Fraction, ...], tail: Fraction):
+        self.head, self.tail = head, tail
+        if self.theta < 0:
+            raise ValueError("theta must be nonnegative")
 
     @classmethod
     def constant(cls, c: Fraction) -> "ExponentSequence":
@@ -42,10 +44,6 @@ class ExponentSequence:
     @classmethod
     def of(cls, head: Sequence[Fraction], tail: Fraction) -> "ExponentSequence":
         return cls(tuple(Fraction(c) for c in head), Fraction(tail))
-
-    def __post_init__(self):
-        if self.theta < 0:
-            raise ValueError("theta must be nonnegative")
 
     @property
     def theta(self) -> Fraction:
@@ -73,16 +71,15 @@ class ExponentSequence:
         return out
 
 
-@dataclass(frozen=True)
 class PrimeChain:
     """A path (a_1, ..., a_k) through the construction tree."""
 
-    exponents: ExponentSequence
-    elements: Tuple[int, ...]
+    __slots__ = ("exponents", "elements")
 
-    def __post_init__(self):
-        if not self.elements:
+    def __init__(self, exponents: ExponentSequence, elements: Tuple[int, ...]):
+        if not elements:
             raise ValueError("a prime chain needs at least one element")
+        self.exponents, self.elements = exponents, elements
 
     @classmethod
     def seed(cls, p: int, exponents: ExponentSequence) -> "PrimeChain":
@@ -145,15 +142,19 @@ def extend_greedy(chain: PrimeChain, steps: int) -> PrimeChain:
     return chain
 
 
-@dataclass(slots=True)
 class TreeNode:
     """One node of the (breadth-limited) construction tree: the prime
     ``label`` = a_level of every chain through it, the seed at level 1."""
 
-    label: int
-    level: int
-    children: Sequence["TreeNode"] = ()  # a leaf's: the shared empty tuple
-    branching_total: int = 0
+    __slots__ = ("label", "level", "children", "branching_total")
+
+    def __init__(
+        self, label: int, level: int,
+        children: Sequence[TreeNode] = (),  # a leaf's: the shared empty tuple
+        branching_total: int = 0,
+    ):
+        self.label, self.level = label, level
+        self.children, self.branching_total = children, branching_total
 
     @property
     def truncated(self) -> bool:

@@ -9,9 +9,8 @@ than speculative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from os.path import commonprefix
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from . import primality
 from .certified import scaled_pow
@@ -67,8 +66,7 @@ def certified_prefix(chain: PrimeChain, limit: int) -> Tuple[int, str]:
     return n, (lo[:g] + "." + lo[g:n] if n > g else lo[:g])
 
 
-@dataclass(frozen=True)
-class LevelCheck:
+class LevelCheck(NamedTuple):
     """Verification record for one chain prefix."""
 
     level: int
@@ -82,8 +80,7 @@ class LevelCheck:
         return self.is_prime and self.nesting_ok
 
 
-@dataclass(frozen=True)
-class RepresentationReport:
+class RepresentationReport(NamedTuple):
     levels: List[LevelCheck]
 
     @property

@@ -14,7 +14,6 @@ logarithms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 from typing import Dict, List, Sequence, Tuple
@@ -28,39 +27,39 @@ LOG2 = math.log(2.0)
 _GUARD_BITS = 48
 
 
-@dataclass(frozen=True)
 class LevelStats:
     """Per-level statistics in log-space: ln of the minimum branching m_k
     and ln of the minimum gap eps_k."""
 
-    k: int
-    log_m: float
-    log_eps: float
+    __slots__ = ("k", "log_m", "log_eps")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.log_m) and math.isfinite(self.log_eps)):
-            raise ValueError(f"level {self.k}: log_m and log_eps must be finite")
+    def __init__(self, k: int, log_m: float, log_eps: float):
+        if not (math.isfinite(log_m) and math.isfinite(log_eps)):
+            raise ValueError(f"level {k}: log_m and log_eps must be finite")
+        self.k, self.log_m, self.log_eps = k, log_m, log_eps
+
+    def __repr__(self) -> str:
+        return f"LevelStats(k={self.k}, log_m={self.log_m!r}, log_eps={self.log_eps!r})"
 
 
-@dataclass(frozen=True)
 class DimensionParams:
     """Inputs of the general analytic level formulas."""
 
-    a1: int
-    Q: float = 0.5
-    L: float = 1.0
-    # No formula reads theta or R; they stay while bench/probes.py sets them.
-    theta: Fraction = Fraction(1)
-    R: Fraction = Fraction(3)
+    __slots__ = ("a1", "Q", "L", "theta", "R")
 
-    def __post_init__(self):
-        if self.a1 < 2:
+    # No formula reads theta or R; they stay while bench/probes.py sets them.
+    def __init__(
+        self, a1: int, Q: float = 0.5, L: float = 1.0,
+        theta: Fraction = Fraction(1), R: Fraction = Fraction(3),
+    ):
+        if a1 < 2:
             raise ValueError("a1 must be >= 2")
-        for name, value in (("Q", self.Q), ("L", self.L)):
+        for name, value in (("Q", Q), ("L", L)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.R < 1 + self.theta:
+        if R < 1 + theta:
             raise ValueError("R must be >= 1 + theta")
+        self.a1, self.Q, self.L, self.theta, self.R = a1, Q, L, theta, R
 
 
 def falconer_profile(
@@ -229,7 +228,8 @@ def measured_levels(
     branching over level-(k-1) nodes, and eps_k is a certified lower bound
     on the smallest gap between adjacent same-parent sibling intervals at
     level k.  Any truncated node invalidates the minima, so capped trees
-    are rejected.
+    are rejected; a level where no parent has two children has no gap and
+    raises InapplicableLevelsError.
     """
     if not tree.children:
         raise TruncatedTreeError(
@@ -246,6 +246,10 @@ def measured_levels(
             raise TruncatedTreeError(
                 f"level {k - 1} contains unexpanded nodes"
             )
+        if all(len(p.children) < 2 for p in parents):
+            raise InapplicableLevelsError(
+                f"level {k}: no parent has two children, so there is no sibling gap"
+            )
         m_k = min(p.branching_total for p in parents)
         eps_k = _min_sibling_gap(parents, 1 / exponents.C(k))
         out.append(LevelStats(k, math.log(m_k), _log_frac(eps_k)))
@@ -261,13 +265,12 @@ def _min_sibling_gap(parents: Sequence[TreeNode], e: Fraction) -> Fraction:
     y**e is concave (C >= 1), so for a fixed d = b - a that gap never grows
     with a, and only the rightmost pair of each d is certified: its certified
     gap is at most its true gap, which is at most every same-d pair's gap.
+    Some parent must have two children.
     """
     rightmost: Dict[int, int] = {}
     for parent in parents:
         for a, b in pairwise(child.label for child in parent.children):
             rightmost[b - a] = a  # labels ascend across a level
-    if not rightmost:
-        raise TruncatedTreeError("no sibling pair on this level")
     return min(_certified_gap(a + 1, a + d, e) for d, a in rightmost.items())
 
 

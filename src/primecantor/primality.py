@@ -26,7 +26,6 @@ import functools
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator, List, Tuple
 
@@ -64,7 +63,6 @@ RNG_SEED = 20240229
 _PROVEN_CACHE_SIZE = 1024
 
 
-@dataclass(frozen=True)
 class SieveConfig:
     """Memory budget for interval enumeration (DEFAULT_SIEVE only).
 
@@ -72,7 +70,7 @@ class SieveConfig:
     holds the primes up to 10**6 it already holds those up to 2**20.
     """
 
-    base_prime_limit: int = 1 << 20
+    base_prime_limit = 1 << 20
 
 
 DEFAULT_SIEVE = SieveConfig()

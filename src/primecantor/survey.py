@@ -10,9 +10,8 @@ and leaves thresholds to the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from . import primality
 from .certified import scaled_pow
@@ -20,8 +19,7 @@ from .chains import counting_subinterval
 from .errors import EmptyCensusError
 
 
-@dataclass(frozen=True)
-class SurveyRecord:
+class SurveyRecord(NamedTuple):
     """One short-interval observation."""
 
     anchor: int

@@ -96,7 +96,7 @@ def test_dyadic_and_bracket_basics():
     assert (b.lo + b.hi) / 2 == Fraction(3, 2)
     assert b.lo <= 1 <= b.hi and b.lo <= 2 <= b.hi
     assert b.lo != b.hi
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Bracket endpoints out of order$"):
         Bracket(Fraction(2), Fraction(1))
     # A degenerate bracket is a closed interval holding one point.
     assert Bracket(Fraction(1), Fraction(1)).width == 0

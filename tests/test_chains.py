@@ -122,7 +122,7 @@ def test_extend_greedy_square_case():
 
 
 def test_prime_chain_rejects_no_elements():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a prime chain needs at least one element$"):
         PrimeChain(ExponentSequence.constant(3), ())
 
 

@@ -541,15 +541,27 @@ def test_tree_has_no_node_budget_flag(capsys):
     assert "unrecognized arguments: --node-budget 5" in capsys.readouterr().err
 
 
-def test_import_leaves_out_process_pools():
-    code = "import sys, primecantor.cli; print('concurrent.futures' in sys.modules)"
+def _modules_loaded(statement):
+    """The names in sys.modules after ``statement`` runs in a fresh
+    interpreter that finds the package on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
+        [sys.executable, "-c", statement + "\nimport sys; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "False"
+    return set(out.split())
+
+
+def test_import_leaves_out_process_pools():
+    assert "concurrent.futures" not in _modules_loaded("import primecantor.cli")
+
+
+def test_import_leaves_out_dataclasses():
+    # dataclasses and the inspect, ast and dis it pulls in took about half
+    # of the CLI's start-up.
+    added = _modules_loaded("import primecantor.cli") - _modules_loaded("")
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
 
 
 def assert_one_error_line(err):
@@ -564,6 +576,9 @@ def assert_one_error_line(err):
         (("mills", "--seed", "2", "--c", "11/10", "--steps", "3"), 1),
         (("dimension", "--preset", "measured", "--seed", "2", "--c", "3",
           "--depth", "0"), 1),
+        # The only successor of 3 for c = 3/2 is 7: no sibling gap on level 2.
+        (("dimension", "--preset", "measured", "--seed", "3", "--c", "3/2",
+          "--depth", "1"), 1),
         (("mills", "--seed", "2"), 2),
         # A lies near 316.23, which has three integer digits.
         (("mills", "--seed", "100003", "--c", "2", "--steps", "1",
@@ -602,7 +617,8 @@ def assert_one_error_line(err):
         (("mills", "--seed", "2", "--c", "2147483649/1073741824",
           "--steps", "3", "--allow-partial"), 1),
     ],
-    ids=["no-prime-in-interval", "measured-depth0", "no-exponent",
+    ids=["no-prime-in-interval", "measured-depth0", "measured-no-sibling-pair",
+         "no-exponent",
          "digits-below-integer-part", "no-preset", "no-p",
          "paper-simple-fixes-c", "no-seed", "paper-simple-composite-seed",
          "paper-general-composite-seed", "bound-composite-seed",

@@ -35,18 +35,25 @@ LOG2, LOG3 = math.log(2.0), math.log(3.0)
 
 
 def test_level_stats_rejects_non_finite():
+    msg = "^level 2: log_m and log_eps must be finite$"
     for bad in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=msg):
             LevelStats(2, bad, -5.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=msg):
             LevelStats(2, LOG2, bad)
+    # Hypothesis prints falsifying level lists with this repr.
+    assert repr(LevelStats(2, 0.5, -5.0)) == "LevelStats(k=2, log_m=0.5, log_eps=-5.0)"
 
 
 def test_dimension_params_validation():
-    DimensionParams(a1=1009)
-    with pytest.raises(ValueError):
+    params = DimensionParams(a1=1009)
+    assert (params.a1, params.Q, params.L, params.theta, params.R) == (1009, 0.5, 1, 1, 3)
+    # The keyword form of bench/probes.py.
+    params = DimensionParams(a1=11, theta=Fraction(2), R=Fraction(3))
+    assert (params.a1, params.theta, params.R) == (11, 2, 3)
+    with pytest.raises(ValueError, match="^a1 must be >= 2$"):
         DimensionParams(a1=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^R must be >= 1 \\+ theta$"):
         DimensionParams(a1=10, theta=Fraction(5), R=Fraction(3))
 
 
@@ -344,6 +351,16 @@ def test_measured_levels_requires_two_node_levels():
     es = ExponentSequence.constant(3)
     with pytest.raises(TruncatedTreeError):
         measured_levels(enumerate_tree(2, es, 0), es)
+
+
+def test_measured_levels_needs_a_sibling_pair():
+    # For c = 3/2 the only successor of 3 is 7: a full tree, but no gap.
+    es = ExponentSequence.constant(Fraction(3, 2))
+    with pytest.raises(
+        InapplicableLevelsError,
+        match="^level 2: no parent has two children, so there is no sibling gap$",
+    ):
+        measured_levels(enumerate_tree(3, es, 1), es)
 
 
 def test_measured_levels_rejects_truncated_trees():

@@ -217,6 +217,7 @@ def test_primes_in_range_matches_sympy_at_base_table_edges():
     # table doubles, and on the base-prime limit and one past it, which
     # puts the window in the far regime where survivors need is_prime.
     limit = DEFAULT_SIEVE.base_prime_limit
+    assert limit == 1 << 20
     roots = [r for j in range(1, 20) for r in (2**j - 1, 2**j, 2**j + 1)]
     for r in roots + [limit, limit + 1]:
         # Both ends of the isqrt(hi) = r band: hi = r^2 and hi = (r+1)^2 - 1.
