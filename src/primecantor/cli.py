@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -348,7 +349,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     Library failures (PrimeCantorError) exit 1; invalid input (ValueError,
     such as a composite seed or a malformed levels file, and OverflowError,
     such as an exponent past float range) and unreadable files (OSError)
-    exit 2.  Either way stderr gets one ``error:`` line.
+    exit 2.  Either way stderr gets one ``error:`` line.  A reader that
+    closes stdout early (``| head``) ends the run with exit 1 and no line.
     CPython's cap on int-to-str digits is lifted for the run, since
     ``--digits`` may ask for more, and restored on return.
     """
@@ -357,7 +359,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if str_digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the interpreter's last flush of
+        # what is still buffered does not fail a second time at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except PrimeCantorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

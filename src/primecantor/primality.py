@@ -14,7 +14,9 @@ integers of a segment and strikes the odd multiples of the base primes; the
 prime 2 is added once by the callers.  A count is the number of set flags
 unless the base primes stop short of sqrt(hi), when the survivors are
 confirmed with ``is_prime``.  The first-prime search strikes with base
-primes up to a depth that grows with the size of lo.  Listing and counting
+primes up to a depth that grows with the size of lo, in segments that
+start near the expected gap to the next prime and double on a miss, while
+listing and counting strike ``SEGMENT_SIZE`` segments.  Listing and counting
 refuse a window wider than ``WIDTH_LIMIT``.  Besides is_prime's remembered
 verdicts, the only shared state is one ascending table of base primes,
 grown in place by doubling as windows need it.
@@ -77,34 +79,38 @@ DEFAULT_SIEVE = SieveConfig()
 # Most integers one listing or counting call may sieve.
 WIDTH_LIMIT = 200_000_000
 
-# Odd integers per sieved segment (one flag byte each), for enumeration and
-# first-hit search alike, so a segment spans 2 * SEGMENT_SIZE integers.
+# Odd integers per listing or counting segment (one flag byte each), so a
+# segment spans 2 * SEGMENT_SIZE integers; first-hit segments grow to it.
 SEGMENT_SIZE = 1 << 18
 # Base primes whose first strike indices are computed in one comprehension;
 # chunks keep the scratch list small when the table holds 78k primes.
 _STRIKE_CHUNK = 2048
-# Strikes of fewer flags than this take an exact-length zero run from a list
-# built once per _strike call, instead of slicing one from the zero buffer.
+# Strikes of fewer flags than this take an exact-length zero run from
+# _ZERO_RUNS, instead of slicing one from the segment's zero buffer.
 _SHORT_RUN = 64
-# Base-prime depth of the first-hit search.  A search from lo strikes one
-# segment with the pi(P) base primes up to P, then tests the survivors in
-# front of the first prime, each composite with one base-2 Miller-Rabin
-# test.  The next prime lies about ln(lo) past lo, and a share 2e^-g / ln P
-# of the odd integers survives (Mertens, g = Euler's constant), so the
-# search tests about e^-g ln(lo) / ln P survivors.  At b = lo.bit_length()
-# one base prime costs c = 0.18 + 0.00028 b microseconds (its strike offset
-# is a big-integer remainder; 0.31 / 0.47 / 0.69 us at 450 / 1000 / 1790
-# bits) and one test T ~ b**3 (0.45 ms at 450 bits, 18 ms at 1790 bits,
-# Python 3.11 on x86-64), so the cost pi(P) c + T e^-g ln(lo) / ln P is
-# least where P ln P ~ e^-g ln(lo) T / c, which grows with about b**3.
+_ZERO_RUNS = [bytearray(n) for n in range(_SHORT_RUN)]
+# Base-prime depth of the first-hit search.  A search from lo strikes a
+# segment sized to the prime gap (_first_hit_size) with the pi(P) base
+# primes up to P, then tests the survivors in front of the first prime,
+# each composite with one base-2 Miller-Rabin test.  The next prime lies
+# about ln(lo) past lo, and a share 2e^-g / ln P of the odd integers
+# survives (Mertens, g = Euler's constant), so the search tests about
+# e^-g ln(lo) / ln P survivors.  At b = lo.bit_length() one base prime
+# costs c = 0.18 + 0.00028 b microseconds (its strike offset is a
+# big-integer remainder; 0.22 / 0.26 / 0.31 / 0.47 / 0.69 us at 100 / 200 /
+# 450 / 1000 / 1790 bits) and one test T ~ b**3 at large b (30 us at 100
+# bits, 0.1 ms at 200, 0.45 ms at 450, 18 ms at 1790 bits, Python 3.11 on
+# x86-64), so the cost pi(P) c + T e^-g ln(lo) / ln P is least where
+# P ln P ~ e^-g ln(lo) T / c, which grows with about b**3.
 # P = b**3 / 2**13 is within 4 % of that least modelled cost from 512 to
 # 2500 bits (the cost is flat near the optimum, which lies 1.2-1.35 times
 # deeper), and it is 25 % below the cost at a fixed 2**14 at 1790 bits.
-# Below 512 bits it falls under the floor 2**14, where the strike of the
-# segment's small primes costs more than the few tests it saves; from 2048
-# bits on it is capped at enumeration's base_prime_limit, 2**20, so the
-# shared table never grows past what listing already grows it to.
-_FIRST_HIT_BASE_FLOOR = 1 << 14
+# Below 204 bits it falls under the floor 2**10, the least modelled cost
+# at 100 and 128 bits (2**14 models 2.6 times it at 100 bits), and with
+# the floor it stays within 8 % of the least from 100 to 512 bits.  From
+# 2048 bits on the depth is capped at enumeration's base_prime_limit,
+# 2**20, so the shared table never grows past what listing grows it to.
+_FIRST_HIT_BASE_FLOOR = 1 << 10
 
 # Every prime <= _covered, ascending.  _covered starts at 4 and doubles; step
 # [c + 1, 2c] is struck by the primes up to sqrt(2c) that the table holds.
@@ -279,8 +285,8 @@ def _strike(lo: int, hi: int, stop: int) -> bytearray:
     mod p, i + p, ...; these first indices are computed for a chunk of
     primes at a time.  For k flags, a prime below k clears its
     n = (k - 1 - i) // p + 1 flags with one slice assignment of n zero
-    bytes, taken from a list of exact-length runs when n < _SHORT_RUN; a
-    prime of k or more clears at most one flag, in a loop of its own.
+    bytes, taken from _ZERO_RUNS when n < _SHORT_RUN; a prime of k or
+    more clears at most one flag, in a loop of its own.
     The zero runs are bytearrays on purpose: a bytearray's slice assignment
     first copies any other value (bytes, a memoryview) into a new
     bytearray, which nearly doubles the cost of a short strike.
@@ -288,7 +294,7 @@ def _strike(lo: int, hi: int, stop: int) -> bytearray:
     k = ((hi - lo) >> 1) + 1
     flags = bytearray([1]) * k
     zero = bytearray(k // 3 + 1)
-    runs = [zero[:n] for n in range(_SHORT_RUN)]
+    runs = _ZERO_RUNS
     end = bisect_right(_base_table, stop)
     # Index 0 holds 2, which strikes nothing; primes from index single on are >= k.
     single = min(max(bisect_left(_base_table, k), 1), end)
@@ -319,28 +325,35 @@ def _strike_starts(
         yield chunk, starts
 
 
-def _sieved(lo: int, hi: int, base_limit: int) -> Iterator[Tuple[int, bytearray]]:
+def _sieved(
+    lo: int, hi: int, base_limit: int, size: int
+) -> Iterator[Tuple[int, bytearray]]:
     """(start, flags) per segment of the odd integers >= 3 in [lo, hi].
 
-    Flag i of a segment stands for start + 2i.  Every segment is struck by
+    Flag i of a segment stands for start + 2i.  The first segment has
+    min(size, SEGMENT_SIZE) flags and each later one twice as many as the
+    last, up to SEGMENT_SIZE.  Every segment is struck by
     _strike with the shared table's primes up to stop = min(sqrt(hi),
     base_limit), so a set flag is a prime unless stop falls short of
     sqrt(hi); callers then confirm survivors with is_prime, which is how
     intervals between doubly-exponential chain bounds stay reachable.
     The prime 2 has no flag; callers add it.
     """
-    lo = max(lo, 3) | 1
-    if lo > hi:
+    start = max(lo, 3) | 1
+    if start > hi:
         return
     stop = min(math.isqrt(hi), base_limit)
     _base_primes(stop)
-    for start in range(lo, hi + 1, 2 * SEGMENT_SIZE):
-        end = min(start + 2 * SEGMENT_SIZE - 2, hi)
+    size = min(size, SEGMENT_SIZE)
+    while start <= hi:
+        end = min(start + 2 * size - 2, hi)
         flags = _strike(start, end, stop)
         yield start, flags
         # Emptied before the next strike, so one segment's flags are alive
         # at a time: callers must be done with them before they resume.
         flags.clear()
+        start = end + 2
+        size = min(2 * size, SEGMENT_SIZE)
 
 
 def _survivors(start: int, flags: bytearray) -> Iterator[int]:
@@ -353,12 +366,12 @@ def _far(hi: int, base_limit: int) -> bool:
     return math.isqrt(max(hi, 0)) > base_limit
 
 
-def _primes(lo: int, hi: int, base_limit: int) -> Iterator[int]:
+def _primes(lo: int, hi: int, base_limit: int, size: int) -> Iterator[int]:
     """Ascending primes in [lo, hi], read off the _sieved segments."""
     if lo <= 2 <= hi:
         yield 2
     need_check = _far(hi, base_limit)
-    for start, flags in _sieved(lo, hi, base_limit):
+    for start, flags in _sieved(lo, hi, base_limit, size):
         survivors = _survivors(start, flags)
         yield from filter(is_prime, survivors) if need_check else survivors
 
@@ -380,7 +393,7 @@ def primes_in_range(lo: int, hi: int) -> List[int]:
     exceeds WIDTH_LIMIT.
     """
     _check_window(lo, hi)
-    return list(_primes(lo, hi, DEFAULT_SIEVE.base_prime_limit))
+    return list(_primes(lo, hi, DEFAULT_SIEVE.base_prime_limit, SEGMENT_SIZE))
 
 
 def count_primes_in_range(lo: int, hi: int) -> int:
@@ -394,9 +407,9 @@ def count_primes_in_range(lo: int, hi: int) -> int:
     _check_window(lo, hi)
     base_limit = DEFAULT_SIEVE.base_prime_limit
     if _far(hi, base_limit):
-        return sum(1 for _ in _primes(lo, hi, base_limit))
+        return sum(1 for _ in _primes(lo, hi, base_limit, SEGMENT_SIZE))
     return int(lo <= 2 <= hi) + sum(
-        flags.count(1) for _, flags in _sieved(lo, hi, base_limit)
+        flags.count(1) for _, flags in _sieved(lo, hi, base_limit, SEGMENT_SIZE)
     )
 
 
@@ -406,17 +419,30 @@ def _first_hit_base_limit(lo: int) -> int:
     return min(max(depth, _FIRST_HIT_BASE_FLOOR), DEFAULT_SIEVE.base_prime_limit)
 
 
+def _first_hit_size(lo: int) -> int:
+    """Odd flags in the first segment of a first-hit search from lo.
+
+    4b flags for b = lo.bit_length() span 8b, about 11.5 ln(lo), integers,
+    so the first segment misses the next prime with a chance of about
+    e^-11; the segments after a miss double (_sieved).
+    """
+    return max(64, 4 * lo.bit_length())
+
+
 def first_prime_in_range(lo: int, hi: int) -> int:
     """Smallest prime in [lo, hi]; raises NoPrimeInIntervalError if none.
 
     The search is lazy, sieving one segment at a time until the first
     survivor, so it has no width budget (this is the record-hunting code
-    path).  It strikes with the base primes up to _first_hit_base_limit(lo),
-    2**14 below 512 bits and growing with the cube of lo's bit length up to
-    base_prime_limit, since each composite survivor costs a Miller-Rabin
-    test whose price grows with about that cube.
+    path).  Its first segment is sized to the expected gap to the next
+    prime (_first_hit_size(lo)), and each segment after a miss is twice the
+    last, up to SEGMENT_SIZE.  It strikes with the base primes up to
+    _first_hit_base_limit(lo), 2**10 below 204 bits and growing with the
+    cube of lo's bit length up to base_prime_limit, since each composite
+    survivor costs a Miller-Rabin test whose price grows with about that
+    cube.
     """
-    p = next(_primes(lo, hi, _first_hit_base_limit(lo)), None)
+    p = next(_primes(lo, hi, _first_hit_base_limit(lo), _first_hit_size(lo)), None)
     if p is None:
         raise NoPrimeInIntervalError(lo, hi)
     return p

@@ -564,6 +564,25 @@ def test_import_leaves_out_dataclasses():
     assert not added & {"dataclasses", "inspect"}, sorted(added)
 
 
+def test_closed_stdout_exits_1_without_an_error_line():
+    # The listing is about 320 KB, well over a pipe's 64 KB buffer, so the
+    # run is still writing when its reader stops after one line (`| head
+    # -1`): it must exit 1, not 2 (invalid input), and print nothing to
+    # stderr, neither an error line nor a complaint at shutdown.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "primecantor.cli", "tree", "--seed", "2", "--c", "2",
+         "--depth", "4"],
+        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"0,2,2,0,0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def assert_one_error_line(err):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err

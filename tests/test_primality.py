@@ -273,15 +273,19 @@ def _windows_below(his, widths=(0, 1, 10, 300, 2000)):
     return [(hi - w, hi) for hi in his for w in widths]
 
 
-_CAP = primality._FIRST_HIT_BASE_FLOOR  # the first-hit depth below 512 bits
+_CAP = primality._FIRST_HIT_BASE_FLOOR  # the least first-hit depth
+# The floor before first-hit segments were sized to the prime gap; its
+# edges stay as inputs.
+_OLD_CAP = 1 << 14
 _FACT_20, _FACT_30 = math.factorial(20), math.factorial(30)
 PRIME_SEARCH_WINDOWS = {
     # isqrt(hi) = cap - 1, cap and cap + 1: base primes reach sqrt(hi) up
-    # to the cap, and survivors need is_prime past it; also 2^16 - 1 and
-    # 2^16, further past it.
+    # to the cap, and survivors need is_prime past it; the same about 2^14;
+    # also 2^16 - 1 and 2^16, further past both.
     "cap": _windows_below(
-        [_CAP**2 - 1, _CAP**2, (_CAP + 1) ** 2 - 1, (_CAP + 1) ** 2, (_CAP + 1) ** 2 + 5000,
-         2**32 - 1, 2**32]
+        [r for c in (_CAP, _OLD_CAP)
+         for r in (c**2 - 1, c**2, (c + 1) ** 2 - 1, (c + 1) ** 2, (c + 1) ** 2 + 5000)]
+        + [2**32 - 1, 2**32]
     ),
     "above-limit": [
         (DETERMINISTIC_LIMIT + k, DETERMINISTIC_LIMIT + k + w)
@@ -309,7 +313,7 @@ def test_first_prime_matches_sympy_nextprime(kind):
 
 def test_first_prime_search_deepens_with_the_bit_length(monkeypatch):
     # 598, 1000 and 2499 bits, where the depth rule strikes with more base
-    # primes than 2^14 (at 2499 bits, all of the listing's 2^20).  These
+    # primes than the floor (at 2499 bits, all of the listing's 2^20).  These
     # powers of ten lie 313, 531 and 123 below their next primes, which
     # keeps sympy's nextprime to about a second.
     _reset_base_table(monkeypatch)
@@ -330,8 +334,8 @@ _LIMIT = DEFAULT_SIEVE.base_prime_limit  # the listing's base-prime cap
 # isqrt(hi) on both sides of each cap, so windows strike with fewer base
 # primes than the table holds once an earlier call has grown it.
 ORDER_WINDOWS = _windows_below(
-    [_CAP**2 - 1, _CAP**2, (_CAP + 1) ** 2, _LIMIT**2 - 1, _LIMIT**2,
-     (_LIMIT + 1) ** 2 - 1, (_LIMIT + 1) ** 2],
+    [r for c in (_CAP, _OLD_CAP) for r in (c**2 - 1, c**2, (c + 1) ** 2)]
+    + [_LIMIT**2 - 1, _LIMIT**2, (_LIMIT + 1) ** 2 - 1, (_LIMIT + 1) ** 2],
     widths=(0, 10, 300),
 )
 
@@ -373,6 +377,45 @@ def test_first_prime_crosses_segments(monkeypatch):
         want = nextprime(lo - 1)
         assert first_prime_in_range(lo, lo + 200) == want, lo
         assert primes_in_range(lo, want) == [want], lo
+
+
+def test_first_prime_search_grows_its_segments(monkeypatch):
+    # A first segment of 1 odd flag, twice as many flags in each next one:
+    # a first prime 2, 6, 14, ... past lo | 1 lies past 1, 2, 3, ...
+    # segment boundaries.
+    monkeypatch.setattr(primality, "_first_hit_size", lambda lo: 1)
+    struck = []
+
+    def spy(lo, hi, stop, real=primality._strike):
+        struck.append((hi - lo) // 2 + 1)
+        return real(lo, hi, stop)
+
+    monkeypatch.setattr(primality, "_strike", spy)
+    assert first_prime_in_range(1328, 1400) == 1361
+    assert struck == [1, 2, 4, 8, 16]
+    near = [2**32 - 40, 2**32 - 5, 2**32 - 4, DETERMINISTIC_LIMIT - 1, DETERMINISTIC_LIMIT]
+    for lo in list(range(-3, 201)) + near:
+        want = nextprime(lo - 1)
+        assert first_prime_in_range(lo, lo + 1000) == want, lo
+    for lo, hi in PRIME_SEARCH_WINDOWS["prime-free"]:
+        with pytest.raises(NoPrimeInIntervalError):
+            first_prime_in_range(lo, hi)
+
+
+def test_first_prime_search_memory_follows_the_prime_gap():
+    # At 100 bits the next prime lies about 70 past lo, and the first
+    # segment holds max(64, 4 * 100) odd flags: neither it nor its zero
+    # buffer comes near a listing segment's 256 KB of flags.
+    lo = 10**30
+    small_primes(primality._first_hit_base_limit(lo))  # grow the table outside
+    tracemalloc.start()
+    try:
+        p = first_prime_in_range(lo, 10**31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p == nextprime(lo - 1)
+    assert peak < 64 << 10, peak
 
 
 _SPAN = 2 * primality.SEGMENT_SIZE  # integers per sieved segment
