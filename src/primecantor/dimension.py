@@ -228,8 +228,10 @@ def measured_levels(
     branching over level-(k-1) nodes, and eps_k is a certified lower bound
     on the smallest gap between adjacent same-parent sibling intervals at
     level k.  Any truncated node invalidates the minima, so capped trees
-    are rejected; a level where no parent has two children has no gap and
-    raises InapplicableLevelsError.
+    are rejected.  Every node above the deepest level is expanded, so a
+    parent without children is a dead end (its interval holds no prime),
+    which makes m_k 0; that, and a level where no parent has two children
+    and so no gap, raise InapplicableLevelsError.
     """
     if not tree.children:
         raise TruncatedTreeError(
@@ -242,9 +244,10 @@ def measured_levels(
             raise TruncatedTreeError(
                 f"level {k - 1} contains truncated nodes; minima would lie"
             )
-        if any(not p.children for p in parents):
-            raise TruncatedTreeError(
-                f"level {k - 1} contains unexpanded nodes"
+        dead = next((p for p in parents if not p.children), None)
+        if dead is not None:
+            raise InapplicableLevelsError(
+                f"level {k - 1}: node {dead.label} has no successor, so m_{k} is 0"
             )
         if all(len(p.children) < 2 for p in parents):
             raise InapplicableLevelsError(

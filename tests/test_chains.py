@@ -14,7 +14,7 @@ from primecantor.chains import (
     enumerate_tree,
     extend_greedy,
 )
-from primecantor.constant import verify_representation
+from primecantor.constant import certified_prefix, verify_representation
 from primecantor.errors import ResourceBudgetError
 from primecantor.primality import primes_in_range
 
@@ -106,13 +106,26 @@ def test_successors_match_direct_sieve():
     assert [child.label for child in root.children] == primes_in_range(lo, hi)
 
 
+def greedy_mills(steps):
+    return extend_greedy(PrimeChain.seed(2, ExponentSequence.constant(3)), steps)
+
+
 def test_extend_greedy_mills():
-    es = ExponentSequence.constant(3)
-    chain = extend_greedy(PrimeChain.seed(2, es), 3)
+    chain = greedy_mills(3)
     assert chain.elements == (2, 11, 1361, 2521008887)
     report = verify_representation(chain)
     assert report.all_passed
     assert [c.probable_prime for c in report.levels] == [False] * 4
+
+
+def test_extend_greedy_mills_matches_published_values():
+    # Caldwell & Cheng, J. Integer Seq. 8 (2005), Art. 05.4.1: the offsets
+    # a_{k+1} - a_k**3 of the greedy chain (OEIS A108739) and the digits of
+    # Mills' constant (OEIS A051021).
+    chain = greedy_mills(7)
+    a = chain.elements
+    assert [b - a_k**3 for a_k, b in zip(a, a[1:])] == [3, 30, 6, 80, 12, 450, 894]
+    assert certified_prefix(chain, 31) == (31, "1.306377883863080690468614492602")
 
 
 def test_extend_greedy_square_case():

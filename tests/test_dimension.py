@@ -363,6 +363,22 @@ def test_measured_levels_needs_a_sibling_pair():
         measured_levels(enumerate_tree(3, es, 1), es)
 
 
+@pytest.mark.parametrize(
+    "seed, c, dead",
+    [(103, Fraction(3, 2), 1051), (173, Fraction(4, 3), 967),
+     (313, Fraction(5, 4), 1321)],
+)
+def test_measured_levels_names_a_dead_end(seed, c, dead):
+    # The interval of the level-2 node `dead` holds no prime; for seed 103
+    # it is [34073, 34121].
+    es = ExponentSequence.constant(c)
+    with pytest.raises(
+        InapplicableLevelsError,
+        match=f"^level 2: node {dead} has no successor, so m_3 is 0$",
+    ):
+        measured_levels(enumerate_tree(seed, es, 2), es)
+
+
 def test_measured_levels_rejects_truncated_trees():
     es = ExponentSequence.constant(3)
     with pytest.raises(TruncatedTreeError):
