@@ -119,14 +119,6 @@ def counting_subinterval(a: int, c: Fraction) -> Tuple[int, int]:
     return pow_ceil(a, c), scaled_pow(a, c - 1, a + 1)[0]
 
 
-def _successor_interval(a: int, c: Fraction, policy: Policy) -> Tuple[int, int]:
-    if policy == "full":
-        return admissible_interval(a, c)
-    if policy == "counting":
-        return counting_subinterval(a, c)
-    raise ValueError(f"unknown policy {policy!r}")
-
-
 def extend_greedy(chain: PrimeChain, steps: int) -> PrimeChain:
     """Append the smallest admissible prime, ``steps`` times.
 
@@ -194,12 +186,15 @@ def enumerate_tree(
         raise ValueError("depth must be >= 0")
     if branch_cap is not None and branch_cap < 1:
         raise ValueError("branch_cap must be positive")
+    interval = {"full": admissible_interval, "counting": counting_subinterval}.get(policy)
+    if interval is None:
+        raise ValueError(f"unknown policy {policy!r}")
     root = TreeNode(PrimeChain.seed(seed, exponents).last, 1)
     level, size = [root], 1
     for k in range(2, depth + count_leaves + 2):  # level k: the successors of ``level``
         leaves = k == depth + 2
         sieve = primality.count_primes_in_range if leaves else primality.primes_in_range
-        spans = [_successor_interval(n.label, exponents.c(k), policy) for n in level]
+        spans = [interval(n.label, exponents.c(k)) for n in level]
         for _, i in sorted((lo - hi, i) for i, (lo, hi) in enumerate(spans)):
             node, found = level[i], sieve(*spans[i])
             node.branching_total = found if leaves else len(found)

@@ -1,5 +1,5 @@
-"""Runs in a fresh interpreter, shared by the tests of recorded outputs and
-of the README's command lines."""
+"""Runs in a fresh interpreter, shared by the tests of recorded outputs, of
+the README's command lines and of the budget guards."""
 
 import os
 import subprocess
@@ -16,10 +16,11 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.fixture
 def run_fresh():
     """Run `python <argv>` from the repository root with the package on
-    PYTHONPATH, stdin from /dev/null and a 60 s timeout."""
+    PYTHONPATH, stdin from /dev/null and a 60 s timeout unless given; other
+    keywords go to `subprocess.run`."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(primecantor.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return lambda argv: subprocess.run(
+    return lambda argv, timeout=60, **kwargs: subprocess.run(
         [sys.executable, *argv], cwd=ROOT, env=env, stdin=subprocess.DEVNULL,
-        capture_output=True, timeout=60)
+        capture_output=True, timeout=timeout, **kwargs)

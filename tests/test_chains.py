@@ -95,8 +95,9 @@ def test_successors_examples():
     assert primes_in_range(*admissible_interval(2, 3)) == [11, 13, 17, 19, 23]
     assert primes_in_range(*counting_subinterval(2, 3)) == [11]
     assert primes_in_range(*admissible_interval(11, 3))[0] == 1361
-    with pytest.raises(ValueError):
-        enumerate_tree(2, ExponentSequence.constant(3), 1, policy="bogus")
+    for depth in (0, 1):
+        with pytest.raises(ValueError, match="unknown policy 'bogus'"):
+            enumerate_tree(2, ExponentSequence.constant(3), depth, policy="bogus")
 
 
 def test_successors_match_direct_sieve():
