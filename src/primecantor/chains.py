@@ -10,7 +10,7 @@ estimates.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Literal, Optional, Sequence, Tuple
+from typing import Iterator, List, Literal, Optional, Sequence, Tuple, Union
 
 from . import primality
 from .certified import pow_ceil, scaled_pow
@@ -153,6 +153,11 @@ class TreeNode:
         """Whether some successor of this node is not among its children."""
         return len(self.children) < self.branching_total
 
+    @property
+    def expanded(self) -> bool:
+        """Whether the successors were listed (a dead end's list is empty)."""
+        return self.children != ()
+
     def walk(self):
         """The nodes in preorder, from a stack, so no depth recurses."""
         stack = [self]
@@ -160,6 +165,20 @@ class TreeNode:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
+
+
+def sieve_level(
+    labels: Sequence[int], c: Fraction, interval=admissible_interval, count: bool = False,
+) -> Iterator[Tuple[int, Union[int, List[int]]]]:
+    """(i, the primes in ``interval(labels[i], c)``, ascending, or with
+    ``count`` their number) for each label, as soon as that interval is
+    sieved.  Widest first, so a level with an interval over the width budget
+    fails before any of it is sieved.
+    """
+    sieve = primality.count_primes_in_range if count else primality.primes_in_range
+    spans = [interval(a, c) for a in labels]
+    for _, i in sorted((lo - hi, i) for i, (lo, hi) in enumerate(spans)):
+        yield i, sieve(*spans[i])
 
 
 def enumerate_tree(
@@ -179,8 +198,8 @@ def enumerate_tree(
     ``count_leaves`` asks for their successor counts too (which costs one
     more level of sieving).
 
-    One pass per level sieves its intervals widest first (one over the width
-    budget fails before any is sieved) and sets each node as it goes.
+    Each level is one ``sieve_level`` pass, which sets each node as soon as
+    its interval is sieved; the node budget is checked after each interval.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -193,10 +212,9 @@ def enumerate_tree(
     level, size = [root], 1
     for k in range(2, depth + count_leaves + 2):  # level k: the successors of ``level``
         leaves = k == depth + 2
-        sieve = primality.count_primes_in_range if leaves else primality.primes_in_range
-        spans = [interval(n.label, exponents.c(k)) for n in level]
-        for _, i in sorted((lo - hi, i) for i, (lo, hi) in enumerate(spans)):
-            node, found = level[i], sieve(*spans[i])
+        labels = [n.label for n in level]
+        for i, found in sieve_level(labels, exponents.c(k), interval, leaves):
+            node = level[i]
             node.branching_total = found if leaves else len(found)
             if not leaves:
                 size += len(kept := found[:branch_cap])

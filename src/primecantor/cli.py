@@ -240,8 +240,7 @@ def _dimension_source(args):
     if args.bound:
         return None, exponents
     if args.preset == "measured":
-        tree = chains.enumerate_tree(args.seed, exponents, args.depth)
-        return dimension.measured_levels(tree, exponents), exponents
+        return dimension.stream_levels(args.seed, exponents, args.depth), exponents
     params = dimension.DimensionParams(a1=args.seed, Q=args.Q, L=args.L)
     return dimension.paper_levels_general(params, exponents, args.kmax), exponents
 
@@ -346,11 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one subcommand.
 
-    Library failures (PrimeCantorError) exit 1; invalid input (ValueError,
-    such as a composite seed or a malformed levels file, and OverflowError,
-    such as an exponent past float range) and unreadable files (OSError)
-    exit 2.  Either way stderr gets one ``error:`` line.  A reader that
-    closes stdout early (``| head``) ends the run with exit 1 and no line.
+    Library failures (PrimeCantorError) and running out of memory exit 1;
+    invalid input (ValueError, such as a composite seed or a malformed
+    levels file, and OverflowError, such as an exponent past float range)
+    and unreadable files (OSError) exit 2.  Either way stderr gets one
+    ``error:`` line.  A reader that closes stdout early (``| head``) ends
+    the run with exit 1 and no line.
     CPython's cap on int-to-str digits is lifted for the run, since
     ``--digits`` may ask for more, and restored on return.
     """
@@ -369,6 +369,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except PrimeCantorError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import pairwise
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .certified import scaled_pow
-from .chains import ExponentSequence, TreeNode
+from .chains import ExponentSequence, PrimeChain, TreeNode, sieve_level
 from .errors import InapplicableLevelsError, TruncatedTreeError, UncertifiedGapError
 
 LOG2 = math.log(2.0)
@@ -228,52 +228,94 @@ def measured_levels(
     branching over level-(k-1) nodes, and eps_k is a certified lower bound
     on the smallest gap between adjacent same-parent sibling intervals at
     level k.  Any truncated node invalidates the minima, so capped trees
-    are rejected.  Every node above the deepest level is expanded, so a
-    parent without children is a dead end (its interval holds no prime),
-    which makes m_k 0; that, and a level where no parent has two children
-    and so no gap, raise InapplicableLevelsError.
+    are rejected.  An expanded parent without children is a dead end (its
+    interval holds no prime), which makes m_k 0; that, and a level where no
+    parent has two children and so no gap, raise InapplicableLevelsError.
     """
-    if not tree.children:
-        raise TruncatedTreeError(
-            "measured_levels needs a tree with at least two node levels"
-        )
-    out = []
-    k, parents, children = 2, [tree], tree.children
-    while children:
+    if not tree.expanded:
+        raise TruncatedTreeError(_TOO_SHALLOW)
+    out, parents = [], [tree]
+    while any(p.expanded for p in parents):
         if any(p.truncated for p in parents):
             raise TruncatedTreeError(
-                f"level {k - 1} contains truncated nodes; minima would lie"
+                f"level {len(out) + 1} contains truncated nodes; minima would lie"
             )
-        dead = next((p for p in parents if not p.children), None)
-        if dead is not None:
-            raise InapplicableLevelsError(
-                f"level {k - 1}: node {dead.label} has no successor, so m_{k} is 0"
-            )
-        if all(len(p.children) < 2 for p in parents):
-            raise InapplicableLevelsError(
-                f"level {k}: no parent has two children, so there is no sibling gap"
-            )
-        m_k = min(p.branching_total for p in parents)
-        eps_k = _min_sibling_gap(parents, 1 / exponents.C(k))
-        out.append(LevelStats(k, math.log(m_k), _log_frac(eps_k)))
-        k, parents = k + 1, children
-        children = [child for p in parents for child in p.children]
+        labels = [p.label for p in parents]
+        lists = ((i, [c.label for c in p.children]) for i, p in enumerate(parents))
+        out.append(_level_stats(len(out) + 2, labels, lists, exponents)[0])
+        parents = [child for p in parents for child in p.children]
     return out
 
 
-def _min_sibling_gap(parents: Sequence[TreeNode], e: Fraction) -> Fraction:
-    """Certified lower bound on min gap between adjacent sibling intervals;
-    the intervals of siblings a < b lie b**e - (a + 1)**e apart, e = 1/C.
-
-    y**e is concave (C >= 1), so for a fixed d = b - a that gap never grows
-    with a, and only the rightmost pair of each d is certified: its certified
-    gap is at most its true gap, which is at most every same-d pair's gap.
-    Some parent must have two children.
+def stream_levels(seed: int, exponents: ExponentSequence, depth: int) -> List[LevelStats]:
+    """``measured_levels(enumerate_tree(seed, exponents, depth), exponents)``
+    without the tree: each successor list is reduced as soon as its interval
+    is sieved, and only the labels of a level expanded next are kept, so the
+    width budget bounds each interval and no node budget applies.
     """
-    rightmost: Dict[int, int] = {}
-    for parent in parents:
-        for a, b in pairwise(child.label for child in parent.children):
-            rightmost[b - a] = a  # labels ascend across a level
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    labels = [PrimeChain.seed(seed, exponents).last]
+    if depth == 0:
+        raise TruncatedTreeError(_TOO_SHALLOW)
+    out = []
+    for k in range(2, depth + 2):
+        stats, labels = _level_stats(
+            k, labels, sieve_level(labels, exponents.c(k)), exponents, k <= depth)
+        out.append(stats)
+    return out
+
+
+_TOO_SHALLOW = "measured_levels needs a tree with at least two node levels"
+
+
+def _level_stats(
+    k: int, labels: Sequence[int], successors: Iterable[Tuple[int, List[int]]],
+    exponents: ExponentSequence, keep: bool = False,
+) -> Tuple[LevelStats, List[int]]:
+    """The LevelStats of level k and, with ``keep``, its labels.
+
+    ``successors`` gives (i, the ascending successors of labels[i]) for each
+    level-(k-1) parent, in any order; each list is reduced as it comes.  A
+    dead end is named by the first in label order.
+    """
+    counts, kept, rightmost = [0] * len(labels), [()] * len(labels), {}
+    for i, found in successors:
+        counts[i] = len(found)
+        _fold_pairs(rightmost, found)
+        if keep:
+            kept[i] = found
+    dead = next((a for a, n in zip(labels, counts) if not n), None)
+    if dead is not None:
+        raise InapplicableLevelsError(
+            f"level {k - 1}: node {dead} has no successor, so m_{k} is 0"
+        )
+    if not rightmost:
+        raise InapplicableLevelsError(
+            f"level {k}: no parent has two children, so there is no sibling gap"
+        )
+    eps_k = _min_sibling_gap(rightmost, 1 / exponents.C(k))
+    return LevelStats(k, math.log(min(counts)), _log_frac(eps_k)), [
+        a for found in kept for a in found]
+
+
+def _fold_pairs(rightmost: Dict[int, int], labels: Sequence[int]) -> None:
+    """Keep in ``rightmost`` the largest a over adjacent ascending labels
+    a < b of each difference d = b - a."""
+    for a, b in pairwise(labels):
+        if rightmost.get(b - a, 0) < a:
+            rightmost[b - a] = a
+
+
+def _min_sibling_gap(rightmost: Dict[int, int], e: Fraction) -> Fraction:
+    """Certified lower bound on min gap between adjacent sibling intervals,
+    given the rightmost pair a, a + d of each difference d; the intervals of
+    siblings a < b lie b**e - (a + 1)**e apart, e = 1/C.
+
+    y**e is concave (C >= 1), so for a fixed d that gap never grows with a,
+    and only the rightmost pair of each d is certified: its certified gap is
+    at most its true gap, which is at most every same-d pair's gap.
+    """
     return min(_certified_gap(a + 1, a + d, e) for d, a in rightmost.items())
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 from sympy import nextprime
 
 import primecantor
-from primecantor import chains, primality
+from primecantor import chains, primality, survey
 from primecantor.chains import admissible_interval
 from primecantor.cli import main
 from primecantor.dimension import proposition_bound
@@ -594,6 +595,9 @@ def assert_one_error_line(err):
         # Node 1051 on level 2 is a dead end: [34073, 34121] holds no prime.
         (("dimension", "--preset", "measured", "--seed", "103", "--c", "3/2",
           "--depth", "2"), 1),
+        # Both level-2 nodes under 859 are dead ends: level 3 is empty.
+        (("dimension", "--preset", "measured", "--seed", "859", "--c", "5/4",
+          "--depth", "2"), 1),
         (("mills", "--seed", "2"), 2),
         # A lies near 316.23, which has three integer digits.
         (("mills", "--seed", "100003", "--c", "2", "--steps", "1",
@@ -633,7 +637,7 @@ def assert_one_error_line(err):
           "--steps", "3", "--allow-partial"), 1),
     ],
     ids=["no-prime-in-interval", "measured-depth0", "measured-no-sibling-pair",
-         "measured-dead-end",
+         "measured-dead-end", "measured-dead-level",
          "no-exponent",
          "digits-below-integer-part", "no-preset", "no-p",
          "paper-simple-fixes-c", "no-seed", "paper-simple-composite-seed",
@@ -650,6 +654,26 @@ def test_errors_exit_with_one_line(capsys, monkeypatch, argv, want):
     assert code == want
     assert out == ""
     assert_one_error_line(err)
+
+
+def test_out_of_memory_exits_with_one_line(capsys, monkeypatch):
+    def exhausted(*_):
+        raise MemoryError
+
+    monkeypatch.setattr(survey, "matomaki_fraction", exhausted)
+    code, out, err = run(capsys, "survey", "matomaki", "--X", "200", "--c", "2",
+                         "--d", "0.5")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
+def test_measured_preset_has_no_node_budget(capsys, monkeypatch):
+    # The seed-307 row's tree holds 478,852 nodes; the stream builds none.
+    monkeypatch.setattr(chains, "NODE_BUDGET", 10)
+    code, out, _ = run(capsys, "dimension", "--preset", "measured", "--seed", "307",
+                       "--c", "2", "--depth", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "31f7dc10bedbb4837e95c4cba7d72dc44c0d4ea75caf12b7c007a7e3af3cd382")
 
 
 @pytest.mark.parametrize(

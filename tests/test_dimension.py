@@ -1,7 +1,9 @@
 """Nested-interval dimension estimator, analytic presets, measured levels."""
 
 import math
+import re
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, pairwise
 from unittest import mock
@@ -9,13 +11,14 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from primecantor import dimension
+from primecantor import dimension, primality
 from primecantor.certified import root_enclosure
 from primecantor.chains import ExponentSequence, TreeNode, enumerate_tree
 from primecantor.dimension import (
     DimensionParams,
     LevelStats,
     _certified_gap,
+    _fold_pairs,
     _min_sibling_gap,
     branching_growth_log,
     falconer_profile,
@@ -24,9 +27,11 @@ from primecantor.dimension import (
     paper_levels_general,
     paper_levels_simple,
     proposition_bound,
+    stream_levels,
 )
 from primecantor.errors import (
     InapplicableLevelsError,
+    ResourceBudgetError,
     TruncatedTreeError,
     UncertifiedGapError,
 )
@@ -366,11 +371,12 @@ def test_measured_levels_needs_a_sibling_pair():
 @pytest.mark.parametrize(
     "seed, c, dead",
     [(103, Fraction(3, 2), 1051), (173, Fraction(4, 3), 967),
-     (313, Fraction(5, 4), 1321)],
+     (313, Fraction(5, 4), 1321), (859, Fraction(5, 4), 4651)],
 )
 def test_measured_levels_names_a_dead_end(seed, c, dead):
     # The interval of the level-2 node `dead` holds no prime; for seed 103
-    # it is [34073, 34121].
+    # it is [34073, 34121].  Both level-2 nodes under 859 are dead ends
+    # ([38409, 38419] and [38471, 38481]), so level 3 is empty.
     es = ExponentSequence.constant(c)
     with pytest.raises(
         InapplicableLevelsError,
@@ -431,16 +437,21 @@ def sibling_levels(draw):
     sibling_levels(),
     st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 9),
                      Fraction(2, 5), Fraction(4, 27), Fraction(1)]),
+    st.data(),
 )
 @settings(max_examples=200, deadline=None)
-def test_min_sibling_gap_matches_every_pair(parents, e):
-    # One certified gap per label difference gives the per-pair minimum.
+def test_min_sibling_gap_matches_every_pair(parents, e, data):
+    # One certified gap per label difference, from the parents folded in
+    # any order, gives the per-pair minimum.
     want = min(
         _certified_gap(a + 1, b, e)
         for parent in parents
         for a, b in pairwise(child.label for child in parent.children)
     )
-    assert _min_sibling_gap(parents, e) == want
+    rightmost = {}
+    for parent in data.draw(st.permutations(parents)):
+        _fold_pairs(rightmost, [child.label for child in parent.children])
+    assert _min_sibling_gap(rightmost, e) == want
 
 
 def test_measured_levels_certifies_one_gap_per_label_difference(monkeypatch):
@@ -460,6 +471,72 @@ def test_measured_levels_certifies_one_gap_per_label_difference(monkeypatch):
         for a, b in pairwise(child.label for child in node.children)
     ]
     assert len(calls) == len(set(pairs)) < len(pairs)
+
+
+def _stats(levels):
+    return [(s.k, s.log_m, s.log_eps) for s in levels]
+
+
+@pytest.mark.parametrize(
+    "seed, es, depth",
+    [(2, ExponentSequence.constant(3), 1), (2, ExponentSequence.constant(3), 2),
+     (5, ExponentSequence.constant(3), 2), (11, ExponentSequence.constant(2), 3),
+     (307, ExponentSequence.constant(2), 2), (100003, ExponentSequence.constant(2), 1),
+     (2, ExponentSequence.of([3, Fraction(5, 2)], 2), 2)],
+    ids=["2-c3-d1", "2-c3-d2", "5-c3-d2", "11-c2-d3", "307-c2-d2", "100003-c2-d1",
+         "2-cseq-d2"],
+)
+def test_stream_levels_equal_measured_levels(seed, es, depth):
+    want = _stats(measured_levels(enumerate_tree(seed, es, depth), es))
+    assert _stats(stream_levels(seed, es, depth)) == want
+
+
+@pytest.mark.parametrize(
+    "seed, c, depth",
+    [(2, 3, 0), (3, Fraction(3, 2), 1), (103, Fraction(3, 2), 2),
+     (173, Fraction(4, 3), 2), (313, Fraction(5, 4), 2), (859, Fraction(5, 4), 2),
+     (3, Fraction(11, 10), 1)],
+    ids=["depth0", "no-sibling-pair", "dead-103", "dead-173", "dead-313", "dead-859",
+         "dead-root"],
+)
+def test_stream_levels_raise_as_measured_levels(seed, c, depth):
+    es = ExponentSequence.constant(c)
+    with pytest.raises((TruncatedTreeError, InapplicableLevelsError)) as want:
+        measured_levels(enumerate_tree(seed, es, depth), es)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        stream_levels(seed, es, depth)
+
+
+def test_stream_levels_peak_memory_stays_small():
+    # The tree behind this row peaks near 52 MiB; the stream keeps one
+    # interval's primes and the 58 level-2 labels.
+    es = ExponentSequence.constant(2)
+    stream_levels(307, es, 2)  # grows the base-prime table first
+    tracemalloc.start()
+    try:
+        stream_levels(307, es, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_stream_levels_over_budget_level_fails_before_sieving(monkeypatch):
+    # Level 3 under 11, 13, 17, 19, 23 has widths 397 to 1657: a budget of
+    # 1000 stops it before its first interval, after the root's [8, 26].
+    monkeypatch.setattr(primality, "WIDTH_LIMIT", 1000)
+    sieved = []
+    listing = primality.primes_in_range
+
+    def recording(lo, hi):
+        found = listing(lo, hi)
+        sieved.append((lo, hi))
+        return found
+
+    monkeypatch.setattr(primality, "primes_in_range", recording)
+    with pytest.raises(ResourceBudgetError, match="width 1657"):
+        stream_levels(2, ExponentSequence.constant(3), 2)
+    assert sieved == [(8, 26)]
 
 
 def test_measured_feeds_estimator():
