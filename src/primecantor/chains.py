@@ -10,6 +10,7 @@ estimates.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import starmap
 from typing import Iterator, List, Literal, Optional, Sequence, Tuple, Union
 
 from . import primality
@@ -169,16 +170,17 @@ class TreeNode:
 
 def sieve_level(
     labels: Sequence[int], c: Fraction, interval=admissible_interval, count: bool = False,
-) -> Iterator[Tuple[int, Union[int, List[int]]]]:
-    """(i, the primes in ``interval(labels[i], c)``, ascending, or with
-    ``count`` their number) for each label, as soon as that interval is
-    sieved.  Widest first, so a level with an interval over the width budget
-    fails before any of it is sieved.
+) -> Iterator[Union[int, List[int]]]:
+    """The primes in ``interval(a, c)``, ascending, or with ``count`` their
+    number, for each label a in order, as soon as that interval is sieved.
+    The widest interval is checked against the width budget first, so a
+    level over it fails before any of it is sieved.
     """
-    sieve = primality.count_primes_in_range if count else primality.primes_in_range
     spans = [interval(a, c) for a in labels]
-    for _, i in sorted((lo - hi, i) for i, (lo, hi) in enumerate(spans)):
-        yield i, sieve(*spans[i])
+    if spans:
+        primality.check_window(*max(spans, key=lambda span: span[1] - span[0]))
+    sieve = primality.count_primes_in_range if count else primality.primes_in_range
+    return starmap(sieve, spans)
 
 
 def enumerate_tree(
@@ -198,8 +200,9 @@ def enumerate_tree(
     ``count_leaves`` asks for their successor counts too (which costs one
     more level of sieving).
 
-    Each level is one ``sieve_level`` pass, which sets each node as soon as
-    its interval is sieved; the node budget is checked after each interval.
+    Each level is one ``sieve_level`` pass, zipped with the level's nodes,
+    which sets each node as soon as its interval is sieved; the node budget
+    is checked after each interval.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -212,9 +215,8 @@ def enumerate_tree(
     level, size = [root], 1
     for k in range(2, depth + count_leaves + 2):  # level k: the successors of ``level``
         leaves = k == depth + 2
-        labels = [n.label for n in level]
-        for i, found in sieve_level(labels, exponents.c(k), interval, leaves):
-            node = level[i]
+        found_lists = sieve_level([n.label for n in level], exponents.c(k), interval, leaves)
+        for node, found in zip(level, found_lists):
             node.branching_total = found if leaves else len(found)
             if not leaves:
                 size += len(kept := found[:branch_cap])

@@ -240,9 +240,8 @@ def measured_levels(
             raise TruncatedTreeError(
                 f"level {len(out) + 1} contains truncated nodes; minima would lie"
             )
-        labels = [p.label for p in parents]
-        lists = ((i, [c.label for c in p.children]) for i, p in enumerate(parents))
-        out.append(_level_stats(len(out) + 2, labels, lists, exponents)[0])
+        lists = ([c.label for c in p.children] for p in parents)
+        out.append(_level_stats(len(out) + 2, [p.label for p in parents], lists, exponents)[0])
         parents = [child for p in parents for child in p.children]
     return out
 
@@ -266,45 +265,36 @@ def stream_levels(seed: int, exponents: ExponentSequence, depth: int) -> List[Le
     return out
 
 
-_TOO_SHALLOW = "measured_levels needs a tree with at least two node levels"
+_TOO_SHALLOW = "measured levels need depth >= 1"
 
 
 def _level_stats(
-    k: int, labels: Sequence[int], successors: Iterable[Tuple[int, List[int]]],
+    k: int, labels: Sequence[int], successors: Iterable[List[int]],
     exponents: ExponentSequence, keep: bool = False,
 ) -> Tuple[LevelStats, List[int]]:
     """The LevelStats of level k and, with ``keep``, its labels.
 
-    ``successors`` gives (i, the ascending successors of labels[i]) for each
-    level-(k-1) parent, in any order; each list is reduced as it comes.  A
-    dead end is named by the first in label order.
+    ``successors`` gives the ascending successors of each level-(k-1)
+    label, in label order; each list is reduced as it comes, and the first
+    dead end raises at once.  A later pair with the same difference lies
+    further right, so the rightmost pair of each difference is the last.
     """
-    counts, kept, rightmost = [0] * len(labels), [()] * len(labels), {}
-    for i, found in successors:
-        counts[i] = len(found)
-        _fold_pairs(rightmost, found)
+    m, rightmost, kept = math.inf, {}, []
+    for parent, found in zip(labels, successors):
+        if not found:
+            raise InapplicableLevelsError(
+                f"level {k - 1}: node {parent} has no successor, so m_{k} is 0"
+            )
+        m = min(m, len(found))
+        rightmost.update((b - a, a) for a, b in pairwise(found))
         if keep:
-            kept[i] = found
-    dead = next((a for a, n in zip(labels, counts) if not n), None)
-    if dead is not None:
-        raise InapplicableLevelsError(
-            f"level {k - 1}: node {dead} has no successor, so m_{k} is 0"
-        )
+            kept += found
     if not rightmost:
         raise InapplicableLevelsError(
             f"level {k}: no parent has two children, so there is no sibling gap"
         )
     eps_k = _min_sibling_gap(rightmost, 1 / exponents.C(k))
-    return LevelStats(k, math.log(min(counts)), _log_frac(eps_k)), [
-        a for found in kept for a in found]
-
-
-def _fold_pairs(rightmost: Dict[int, int], labels: Sequence[int]) -> None:
-    """Keep in ``rightmost`` the largest a over adjacent ascending labels
-    a < b of each difference d = b - a."""
-    for a, b in pairwise(labels):
-        if rightmost.get(b - a, 0) < a:
-            rightmost[b - a] = a
+    return LevelStats(k, math.log(m), _log_frac(eps_k)), kept
 
 
 def _min_sibling_gap(rightmost: Dict[int, int], e: Fraction) -> Fraction:

@@ -376,7 +376,7 @@ def _primes(lo: int, hi: int, base_limit: int, size: int) -> Iterator[int]:
         yield from filter(is_prime, survivors) if need_check else survivors
 
 
-def _check_window(lo: int, hi: int) -> None:
+def check_window(lo: int, hi: int) -> None:
     """Raise unless [lo, hi] is a nonempty window within the width budget."""
     if lo > hi:
         raise ValueError(f"prime enumeration requires lo <= hi, got [{lo}, {hi}]")
@@ -392,7 +392,7 @@ def primes_in_range(lo: int, hi: int) -> List[int]:
     Raises ValueError when lo > hi, and ResourceBudgetError when the width
     exceeds WIDTH_LIMIT.
     """
-    _check_window(lo, hi)
+    check_window(lo, hi)
     return list(_primes(lo, hi, DEFAULT_SIEVE.base_prime_limit, SEGMENT_SIZE))
 
 
@@ -404,7 +404,7 @@ def count_primes_in_range(lo: int, hi: int) -> int:
     primes stop short of sqrt(hi): there the primes that primes_in_range
     lists, each survivor confirmed by is_prime, are counted.
     """
-    _check_window(lo, hi)
+    check_window(lo, hi)
     base_limit = DEFAULT_SIEVE.base_prime_limit
     if _far(hi, base_limit):
         return sum(1 for _ in _primes(lo, hi, base_limit, SEGMENT_SIZE))

@@ -205,8 +205,9 @@ def test_enumerate_tree_budget(monkeypatch):
 
 def test_enumerate_tree_over_budget_level_fails_before_sieving(monkeypatch):
     # The leaves under 11, 13, 17, 19, 23 have widths 397, 547, 919, 1141
-    # and 1657, so a budget of 1000 must stop the counting pass at its first
-    # (widest) interval rather than after three completed counts.
+    # and 1657, so a budget of 1000 must stop the counting pass when the
+    # widest is checked, before its first interval, rather than after three
+    # completed counts.
     monkeypatch.setattr(primality, "WIDTH_LIMIT", 1000)
     counted = []
     count = primality.count_primes_in_range

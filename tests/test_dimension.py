@@ -18,8 +18,8 @@ from primecantor.dimension import (
     DimensionParams,
     LevelStats,
     _certified_gap,
-    _fold_pairs,
-    _min_sibling_gap,
+    _level_stats,
+    _log_frac,
     branching_growth_log,
     falconer_profile,
     measured_levels,
@@ -437,21 +437,20 @@ def sibling_levels(draw):
     sibling_levels(),
     st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 9),
                      Fraction(2, 5), Fraction(4, 27), Fraction(1)]),
-    st.data(),
 )
 @settings(max_examples=200, deadline=None)
-def test_min_sibling_gap_matches_every_pair(parents, e, data):
-    # One certified gap per label difference, from the parents folded in
-    # any order, gives the per-pair minimum.
+def test_min_sibling_gap_matches_every_pair(parents, e):
+    # One certified gap per label difference, folded over the level in label
+    # order, gives the per-pair minimum; C_2 = 1/e.
     want = min(
         _certified_gap(a + 1, b, e)
         for parent in parents
         for a, b in pairwise(child.label for child in parent.children)
     )
-    rightmost = {}
-    for parent in data.draw(st.permutations(parents)):
-        _fold_pairs(rightmost, [child.label for child in parent.children])
-    assert _min_sibling_gap(rightmost, e) == want
+    lists = [[child.label for child in parent.children] for parent in parents]
+    stats, _ = _level_stats(2, [0] * len(parents), lists, ExponentSequence.of([1 / e], 1))
+    assert stats.log_eps == _log_frac(want)
+    assert stats.log_m == math.log(min(map(len, lists)))
 
 
 def test_measured_levels_certifies_one_gap_per_label_difference(monkeypatch):

@@ -1,5 +1,5 @@
-"""Each decision has one owner module, and each run over a budget stops in
-time with one `error:` line.
+"""Each decision has one owner module, each run over a budget stops in
+time with one `error:` line, and every package name the bench uses exists.
 
 A guard run must exit 1 inside its timeout, print nothing on stdout and
 print exactly one line on stderr, an `error: ...` line; a traceback, a
@@ -76,3 +76,13 @@ def test_guard_exits_1_with_one_error_line(run_fresh, args, timeout, stderr, pre
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     if stderr is not None:
         assert err.rstrip("\n") == stderr
+
+
+def test_bench_names_resolve(run_fresh):
+    # The bench's tracer wraps package functions by name and its probes call
+    # others with keywords, so deleting or renaming one must fail here, not
+    # only in a traced bench run.  -B leaves bench/ without bytecode.
+    code = ("import sys; sys.path.insert(0, 'bench'); import probes, tracing; "
+            "tracing.Tracer().install(); probes._probes()")
+    proc = run_fresh(["-B", "-c", code])
+    assert proc.returncode == 0, proc.stderr.decode()
