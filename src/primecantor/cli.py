@@ -69,6 +69,7 @@ def _add_exponent_flags(parser: argparse.ArgumentParser):
 
 
 def cmd_mills(args) -> int:
+    constant.check_digit_count(args.digits)  # before the search, which may be long
     exponents = _exponents_from_args(args)
     chain = chains.PrimeChain.seed(args.seed, exponents)
     chain = chains.extend_greedy(chain, args.steps)
@@ -136,17 +137,16 @@ def cmd_tree(args) -> int:
 
 
 def cmd_dimension(args) -> int:
-    levels, exponents = _dimension_source(args)
+    levels, exponents, config = _dimension_source(args)
     # The closed form, like the analytic levels, needs theta > 0; sources
     # without a seed have none.
     bound = None
     if exponents is not None and exponents.theta > 0:
-        bound = dimension.proposition_bound(args.seed, exponents.R)
+        bound = dimension.proposition_bound(args.p, exponents.R)
     elif levels is None:
         raise ValueError("the analytic level formulas need theta > 0")
     if levels is None:
         if args.out == "json":
-            config = {"bound": args.bound, "p": args.seed, "R": str(exponents.R)}
             print(json.dumps({"meta": _metadata(config), "value": bound}, indent=2))
         else:
             print(f"{bound:.10f}")
@@ -156,11 +156,6 @@ def cmd_dimension(args) -> int:
     by_k = dict(profile)
     if args.out == "json":
         source = "measured" if args.preset in (None, "measured") else "analytic"
-        config = {
-            "preset": args.preset, "kmax": args.kmax, "p": args.seed,
-            "delta": args.delta, "d1": args.d1, "Q": args.Q, "L": args.L,
-            "R": None if exponents is None else str(exponents.R),
-        }
         payload = {
             "meta": _metadata(config),
             "levels": [
@@ -190,59 +185,65 @@ def cmd_dimension(args) -> int:
     return 0
 
 
-# The value flags of dimension with their defaults, and the flags each source
-# reads besides --out; a source given a flag it does not read exits 2.
-_DIMENSION_DEFAULTS = {
-    "seed": None, "c": None, "c_seq": None, "c_tail": None,
-    "kmax": 20, "delta": 0.01, "d1": 0.5, "Q": 0.5, "L": 1.0, "depth": 1,
-}
-_SEEDED = ("seed", "c", "c_seq", "c_tail")
+# The value flags each dimension source reads besides --out, and their defaults;
+# meta.config records them (the exponent flags as their sequence), others exit 2.
+_EXPONENT_FLAGS = {"c": None, "c_seq": None, "c_tail": None}
 _SOURCE_READS = {
-    "the cantor-thirds preset": ("kmax",),
-    "the paper-simple preset": ("seed", "kmax", "delta", "d1"),
-    "the paper-general preset": (*_SEEDED, "kmax", "Q", "L"),
-    "the measured preset": (*_SEEDED, "depth"),
-    "--levels-file": (),
-    "--bound": _SEEDED,
+    "cantor-thirds": {"kmax": 20},
+    "paper-simple": {"p": None, "kmax": 20, "delta": 0.01, "d1": 0.5},
+    "paper-general": {"p": None, **_EXPONENT_FLAGS, "kmax": 20, "Q": 0.5, "L": 1.0},
+    "measured": {"p": None, **_EXPONENT_FLAGS, "depth": 1},
+    "levels_file": {},
+    "bound": {"p": None, **_EXPONENT_FLAGS},
 }
+_VALUE_FLAGS = dict.fromkeys(name for reads in _SOURCE_READS.values() for name in reads)
 
 
 def _dimension_source(args):
-    """(levels, exponents) of the one level source, flags checked first; levels
-    is None for --bound, exponents is None for cantor-thirds and levels files."""
-    if sum(map(bool, (args.preset, args.levels_file, args.bound))) != 1:
+    """(levels, exponents, meta.config) of the one level source, flags checked
+    first; levels is None for --bound, exponents None for sources with no seed."""
+    config = {name: getattr(args, name) for name in ("preset", "levels_file", "bound")
+              if getattr(args, name)}
+    if len(config) != 1:
         raise ValueError("give exactly one of --preset, --levels-file or --bound")
-    what = f"the {args.preset} preset" if args.preset else (
-        "--levels-file" if args.levels_file else "--bound")
+    [(kind, value)] = config.items()
+    reads = _SOURCE_READS[value if kind == "preset" else kind]
+    what = f"the {value} preset" if kind == "preset" else "--" + kind.replace("_", "-")
     unread = [
-        "--" + name.replace("_", "-") for name in _DIMENSION_DEFAULTS
-        if getattr(args, name) is not None and name not in _SOURCE_READS[what]
+        "--" + name.replace("_", "-") for name in _VALUE_FLAGS
+        if getattr(args, name) is not None and name not in reads
     ]
     if unread:
         raise ValueError(f"{what} does not read {', '.join(unread)}")
-    for name, value in _DIMENSION_DEFAULTS.items():
+    for name, default in reads.items():
         if getattr(args, name) is None:
-            setattr(args, name, value)
+            setattr(args, name, default)
+    config.update((name, getattr(args, name)) for name in reads
+                  if name not in _EXPONENT_FLAGS)
     if args.levels_file:
-        return _read_levels_file(args.levels_file), None
+        return _read_levels_file(args.levels_file), None, config
     if args.preset == "cantor-thirds":
-        return dimension.middle_thirds_levels(args.kmax), None
-    if args.seed is None:
-        raise ValueError(f"--seed (or --p) is required for {what}")
-    if not primality.is_prime(args.seed):
-        raise ValueError(f"seed {args.seed} is not prime")
-    if args.preset == "paper-simple":
-        levels = dimension.paper_levels_simple(
-            args.seed, args.d1, args.delta, args.kmax
-        )
-        return levels, chains.ExponentSequence.constant(3)
-    exponents = _exponents_from_args(args)
+        return dimension.middle_thirds_levels(args.kmax), None, config
+    if args.p is None:
+        raise ValueError(f"--p (or --seed) is required for {what}")
+    if not primality.is_prime(args.p):
+        raise ValueError(f"seed {args.p} is not prime")
+    if "c" in reads:
+        exponents = _exponents_from_args(args)
+        config["exponents"] = _exponent_config(exponents)
+    else:
+        exponents = chains.ExponentSequence.constant(3)  # paper-simple fixes c = 3
+    config["R"] = str(exponents.R)
     if args.bound:
-        return None, exponents
-    if args.preset == "measured":
-        return dimension.stream_levels(args.seed, exponents, args.depth), exponents
-    params = dimension.DimensionParams(a1=args.seed, Q=args.Q, L=args.L)
-    return dimension.paper_levels_general(params, exponents, args.kmax), exponents
+        return None, exponents, config
+    if args.preset == "paper-simple":
+        levels = dimension.paper_levels_simple(args.p, args.d1, args.delta, args.kmax)
+    elif args.preset == "measured":
+        levels = dimension.stream_levels(args.p, exponents, args.depth)
+    else:
+        params = dimension.DimensionParams(a1=args.p, Q=args.Q, L=args.L)
+        levels = dimension.paper_levels_general(params, exponents, args.kmax)
+    return levels, exponents, config
 
 
 def _read_levels_file(path: str) -> List[dimension.LevelStats]:
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dim.add_argument("--d1", type=float, default=None)
     p_dim.add_argument("--Q", type=float, default=None)
     p_dim.add_argument("--L", type=float, default=None)
-    p_dim.add_argument("--seed", "--p", type=int, default=None, help="seed prime a1")
+    p_dim.add_argument("--p", "--seed", type=int, default=None, help="seed prime a1")
     p_dim.add_argument("--depth", type=int, default=None)
     _add_exponent_flags(p_dim)
     p_dim.add_argument("--out", choices=["json", "csv"], default="csv")

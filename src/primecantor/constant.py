@@ -35,6 +35,12 @@ def digits(chain: PrimeChain, n: int) -> str:
     return text
 
 
+def check_digit_count(limit: int) -> None:
+    """Raise ValueError unless limit, a requested digit count, is positive."""
+    if limit < 1:
+        raise ValueError("digit count must be positive")
+
+
 def certified_prefix(chain: PrimeChain, limit: int) -> Tuple[int, str]:
     """Count and text of the longest significant-digit prefix (<= limit
     digits) shared by the whole level interval [lo, hi) = [a**e, (a+1)**e),
@@ -49,8 +55,7 @@ def certified_prefix(chain: PrimeChain, limit: int) -> Tuple[int, str]:
     (bits(a + 1) + bits(numerator of C)) // 3 + 1.  So m = min(limit, M)
     decimals lose no certified digit, however large limit is.
     """
-    if limit < 1:
-        raise ValueError("digit count must be positive")
+    check_digit_count(limit)
     big_c, a = chain.exponents.C(len(chain)), chain.last
     m = min(limit, ((a + 1).bit_length() + big_c.numerator.bit_length()) // 3 + 1)
     lo = str(scaled_pow(a, 1 / big_c, 10 ** m)[0])

@@ -380,10 +380,11 @@ def check_window(lo: int, hi: int) -> None:
     """Raise unless [lo, hi] is a nonempty window within the width budget."""
     if lo > hi:
         raise ValueError(f"prime enumeration requires lo <= hi, got [{lo}, {hi}]")
-    if hi - lo + 1 > WIDTH_LIMIT:
-        raise ResourceBudgetError(
-            f"interval width {hi - lo + 1} exceeds budget {WIDTH_LIMIT}"
-        )
+    width = hi - lo + 1
+    if width > WIDTH_LIMIT:
+        # A width of millions of digits takes seconds to print in decimal.
+        shown = width if width.bit_length() <= 64 else f"of {width.bit_length()} bits"
+        raise ResourceBudgetError(f"interval width {shown} exceeds budget {WIDTH_LIMIT}")
 
 
 def primes_in_range(lo: int, hi: int) -> List[int]:

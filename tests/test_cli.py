@@ -94,6 +94,17 @@ def test_mills_rejects_composite_seed(capsys):
     assert "not prime" in err
 
 
+@pytest.mark.parametrize("digits", ["0", "-3"])
+def test_mills_rejects_digits_below_one_before_the_search(capsys, monkeypatch, digits):
+    def search(*_):
+        raise AssertionError("the chain search ran")
+
+    monkeypatch.setattr(chains, "extend_greedy", search)
+    code, out, err = run(capsys, "mills", "--seed", "5", "--c", "2", "--steps", "10",
+                         "--digits", digits)
+    assert (code, out, err) == (2, "", "error: digit count must be positive\n")
+
+
 def test_mills_head_tail_exponents(capsys):
     code, out, _ = run(
         capsys, "mills", "--seed", "2", "--c-seq", "3,5/2", "--c-tail", "2",
@@ -259,7 +270,7 @@ def test_dimension_theorem_bound_only_for_seeded_levels(capsys):
     assert code == 0
     payload = json.loads(out)
     assert "theorem_bound" not in payload
-    assert payload["meta"]["config"]["R"] is None
+    assert "R" not in payload["meta"]["config"]
     code, out, _ = run(
         capsys, "dimension", "--preset", "paper-simple", "--p", "11",
         "--kmax", "6", "--out", "json",
@@ -315,26 +326,58 @@ def test_dimension_rejects_flags_its_source_ignores(tmp_path, capsys, flags):
     assert_one_error_line(err)
 
 
+C3 = {"head": [], "tail": "3", "theta": "2", "R": "3"}
+C_SEQ = {"head": ["3", "5/2"], "tail": "2", "theta": "1", "R": "3"}
+
+
+def config_argv(config):
+    """The dimension flags that a meta.config records, besides --out."""
+    argv = []
+    for key, value in config.items():
+        if key == "exponents":
+            argv += (["--c-seq", ",".join(value["head"]), "--c-tail", value["tail"]]
+                     if value["head"] else ["--c", value["tail"]])
+        elif key == "bound":
+            argv.append("--bound")
+        elif key != "R":  # R follows from the source
+            argv += ["--" + key.replace("_", "-"), str(value)]
+    return argv
+
+
 @pytest.mark.parametrize(
-    "flags",
+    "flags, config",
     [
-        ("--preset", "cantor-thirds", "--kmax", "3"),
-        ("--levels-file", LEVELS),
-        ("--preset", "paper-simple", "--p", "11", "--kmax", "4", "--delta", "0.1",
-         "--d1", "0.7"),
-        ("--preset", "paper-general", "--p", "11", "--c-seq", "3,5/2",
-         "--c-tail", "2", "--kmax", "6", "--Q", "0.7", "--L", "0.5"),
-        ("--preset", "measured", "--p", "2", "--c", "3", "--depth", "1"),
-        ("--bound", "--p", "11", "--c-seq", "3,5/2", "--c-tail", "2"),
+        (("--preset", "cantor-thirds", "--kmax", "3"),
+         {"preset": "cantor-thirds", "kmax": 3}),
+        (("--levels-file", LEVELS), {"levels_file": LEVELS}),
+        (("--preset", "paper-simple", "--p", "11", "--kmax", "4", "--delta", "0.1",
+          "--d1", "0.7"),
+         {"preset": "paper-simple", "p": 11, "kmax": 4, "delta": 0.1, "d1": 0.7,
+          "R": "3"}),
+        (("--preset", "paper-general", "--p", "11", "--c-seq", "3,5/2",
+          "--c-tail", "2", "--kmax", "6", "--Q", "0.7", "--L", "0.5"),
+         {"preset": "paper-general", "p": 11, "kmax": 6, "Q": 0.7, "L": 0.5,
+          "exponents": C_SEQ, "R": "3"}),
+        (("--preset", "measured", "--p", "2", "--c", "3", "--depth", "1"),
+         {"preset": "measured", "p": 2, "depth": 1, "exponents": C3, "R": "3"}),
+        (("--bound", "--p", "11", "--c-seq", "3,5/2", "--c-tail", "2"),
+         {"bound": True, "p": 11, "exponents": C_SEQ, "R": "3"}),
     ],
     ids=["cantor-thirds", "levels-file", "paper-simple", "paper-general",
          "measured", "bound"],
 )
-def test_dimension_accepts_every_flag_its_source_reads(tmp_path, capsys, flags):
+def test_dimension_accepts_every_flag_its_source_reads(tmp_path, capsys, flags, config):
+    # meta.config records the source and exactly the flags it read, so the
+    # flags it spells rerun the same computation.
     path = tmp_path / "levels.csv"
     path.write_text("k,log_m,log_eps\n1,0.7,-1.1\n2,0.7,-2.2\n")
     argv = [str(path) if flag is LEVELS else flag for flag in flags]
-    assert run(capsys, "dimension", *argv, "--out", "json")[0] == 0
+    code, out, _ = run(capsys, "dimension", *argv, "--out", "json")
+    assert code == 0
+    recorded = json.loads(out)["meta"]["config"]
+    assert recorded == {k: str(path) if v is LEVELS else v for k, v in config.items()}
+    rerun = run(capsys, "dimension", *config_argv(recorded), "--out", "json")
+    assert rerun == (0, out, "")
 
 
 @pytest.mark.parametrize(
@@ -447,7 +490,9 @@ def test_dimension_levels_file_source_column(tmp_path, capsys):
             capsys, "dimension", "--levels-file", str(path), "--out", "json"
         )
         assert code == 0
-        outs.append(json.loads(out))
+        payload = json.loads(out)
+        assert payload["meta"].pop("config") == {"levels_file": str(path)}
+        outs.append(payload)
     assert outs[1] == outs[0]
     assert [lvl["source"] for lvl in outs[1]["levels"]] == ["measured"] * 3
 
@@ -518,7 +563,7 @@ def test_survey_matomaki_empty_census_errors(capsys):
 
 
 
-def test_width_limit_env_caps_tree_sieving(capsys, monkeypatch):
+def test_width_limit_caps_tree_sieving(capsys, monkeypatch):
     # The root's admissible interval [8, 26] holds 19 integers.
     monkeypatch.setattr(primality, "WIDTH_LIMIT", 10)
     code, out, err = run(capsys, "tree", "--seed", "2", "--c", "3", "--depth", "1")

@@ -2,8 +2,9 @@
 time with one `error:` line, and every package name the bench uses exists.
 
 A guard run must exit 1 inside its timeout, print nothing on stdout and
-print exactly one line on stderr, an `error: ...` line; a traceback, a
-`MemoryError` or a run that outlives its timeout fails it.
+print exactly one line on stderr, an `error: ...` line of under 200
+bytes; a traceback, a `MemoryError` or a run that outlives its timeout
+fails it.
 """
 
 import re
@@ -41,6 +42,9 @@ GUARDS = [
     # A level with an interval over the width budget fails before any of it
     # is sieved, instead of sieving its narrower leaves for hours.
     ("tree --seed 2 --c 3 --depth 2 --count-leaves", 30, None, None),
+    # c = 3000000 gives the root an interval width of 1.4 million digits,
+    # which took 32 s to print in decimal.
+    ("tree --seed 2 --c 3000000 --depth 1", 10, None, None),
     # c = 1000001/1000000 gives C_k a denominator of 6k digits at level k;
     # each level must cost a product, not a subtraction of two such
     # fractions, so 6000 levels finish well inside the timeout.
@@ -73,6 +77,7 @@ def test_guard_exits_1_with_one_error_line(run_fresh, args, timeout, stderr, pre
     err = proc.stderr.decode()
     assert proc.returncode == 1, f"exit {proc.returncode}\n{err}"
     assert proc.stdout == b""
+    assert len(proc.stderr) < 200, f"{len(proc.stderr)} bytes: {err[:200]}"
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     if stderr is not None:
         assert err.rstrip("\n") == stderr
