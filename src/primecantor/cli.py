@@ -69,9 +69,9 @@ def _add_exponent_flags(parser: argparse.ArgumentParser):
 
 
 def cmd_mills(args) -> int:
-    constant.check_digit_count(args.digits)  # before the search, which may be long
     exponents = _exponents_from_args(args)
     chain = chains.PrimeChain.seed(args.seed, exponents)
+    constant.check_digit_count(args.digits, chain)  # before the search, which may be long
     chain = chains.extend_greedy(chain, args.steps)
     report = constant.verify_representation(chain)
 

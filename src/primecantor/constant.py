@@ -10,7 +10,7 @@ than speculative.
 from __future__ import annotations
 
 from os.path import commonprefix
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import primality
 from .certified import scaled_pow
@@ -35,10 +35,22 @@ def digits(chain: PrimeChain, n: int) -> str:
     return text
 
 
-def check_digit_count(limit: int) -> None:
-    """Raise ValueError unless limit, a requested digit count, is positive."""
+def check_digit_count(limit: int, chain: Optional[PrimeChain] = None) -> None:
+    """Raise ValueError unless limit, a requested digit count, is positive
+    and, given a chain, at least the g integer digits of the constant when
+    both ends of the chain's level interval have g of them: the constant
+    of every longer chain lies in that interval too."""
     if limit < 1:
         raise ValueError("digit count must be positive")
+    if chain is not None:
+        big_c, a = chain.exponents.C(len(chain)), chain.last
+        g = len(str(scaled_pow(a, 1 / big_c)[0]))
+        if limit < g and g == len(str(scaled_pow(a + 1, 1 / big_c)[1] - 1)):
+            raise _too_few_digits(g)
+
+
+def _too_few_digits(g: int) -> ValueError:
+    return ValueError(f"the constant has {g} integer digits; request at least {g} digits")
 
 
 def certified_prefix(chain: PrimeChain, limit: int) -> Tuple[int, str]:
@@ -62,9 +74,7 @@ def certified_prefix(chain: PrimeChain, limit: int) -> Tuple[int, str]:
     hi = str(scaled_pow(a + 1, 1 / big_c, 10 ** m)[1] - 1)
     g = len(lo) - m
     if limit < g:
-        raise ValueError(
-            f"the constant has {g} integer digits; request at least {g} digits"
-        )
+        raise _too_few_digits(g)
     n = min(len(commonprefix([lo, hi])), limit) if len(lo) == len(hi) else 0
     if n < g:
         return 0, ""

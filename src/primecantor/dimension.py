@@ -18,8 +18,9 @@ from fractions import Fraction
 from itertools import pairwise
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from . import primality
 from .certified import scaled_pow
-from .chains import ExponentSequence, PrimeChain, TreeNode, sieve_level
+from .chains import ExponentSequence, PrimeChain, TreeNode, admissible_interval, sieve_level
 from .errors import InapplicableLevelsError, TruncatedTreeError, UncertifiedGapError
 
 LOG2 = math.log(2.0)
@@ -248,9 +249,11 @@ def measured_levels(
 
 def stream_levels(seed: int, exponents: ExponentSequence, depth: int) -> List[LevelStats]:
     """``measured_levels(enumerate_tree(seed, exponents, depth), exponents)``
-    without the tree: each successor list is reduced as soon as its interval
-    is sieved, and only the labels of a level expanded next are kept, so the
-    width budget bounds each interval and no node budget applies.
+    without the tree.  Each level that is expanded next is listed, one
+    interval at a time, and only its labels are kept; the deepest level is
+    counted, and only the tail of it that its sibling gap needs is listed
+    (_counted_level_stats).  So the width budget bounds each interval and
+    no node budget applies.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -258,10 +261,11 @@ def stream_levels(seed: int, exponents: ExponentSequence, depth: int) -> List[Le
     if depth == 0:
         raise TruncatedTreeError(_TOO_SHALLOW)
     out = []
-    for k in range(2, depth + 2):
+    for k in range(2, depth + 1):
         stats, labels = _level_stats(
-            k, labels, sieve_level(labels, exponents.c(k)), exponents, k <= depth)
+            k, labels, sieve_level(labels, exponents.c(k)), exponents, keep=True)
         out.append(stats)
+    out.append(_counted_level_stats(depth + 1, labels, exponents))
     return out
 
 
@@ -282,19 +286,113 @@ def _level_stats(
     m, rightmost, kept = math.inf, {}, []
     for parent, found in zip(labels, successors):
         if not found:
-            raise InapplicableLevelsError(
-                f"level {k - 1}: node {parent} has no successor, so m_{k} is 0"
-            )
+            raise _dead_end(k, parent)
         m = min(m, len(found))
         rightmost.update((b - a, a) for a, b in pairwise(found))
         if keep:
             kept += found
     if not rightmost:
-        raise InapplicableLevelsError(
-            f"level {k}: no parent has two children, so there is no sibling gap"
-        )
+        raise _no_sibling_pair(k)
     eps_k = _min_sibling_gap(rightmost, 1 / exponents.C(k))
     return LevelStats(k, math.log(m), _log_frac(eps_k)), kept
+
+
+def _dead_end(k: int, parent: int) -> InapplicableLevelsError:
+    return InapplicableLevelsError(
+        f"level {k - 1}: node {parent} has no successor, so m_{k} is 0")
+
+
+def _no_sibling_pair(k: int) -> InapplicableLevelsError:
+    return InapplicableLevelsError(
+        f"level {k}: no parent has two children, so there is no sibling gap")
+
+
+def _counted_level_stats(
+    k: int, labels: Sequence[int], exponents: ExponentSequence,
+    interval=admissible_interval,
+) -> LevelStats:
+    """What _level_stats gives for the successors in ``interval`` of the
+    level-(k-1) ``labels``, with the successors counted, not listed: m_k
+    and the first dead end come from the counts, eps_k from _tail_gap.
+    """
+    c = exponents.c(k)
+    counts = []
+    for parent, n in zip(labels, sieve_level(labels, c, interval, count=True)):
+        if not n:
+            raise _dead_end(k, parent)
+        counts.append(n)
+    if max(counts, default=0) < 2:
+        raise _no_sibling_pair(k)
+    tail = (interval(a, c) for a, n in zip(reversed(labels), reversed(counts)) if n > 1)
+    eps_k = _tail_gap(tail, interval(labels[0], c)[0], 1 / exponents.C(k))
+    return LevelStats(k, math.log(min(counts)), _log_frac(eps_k))
+
+
+def _tail_gap(spans: Iterable[Tuple[int, int]], lowest: int, e: Fraction) -> Fraction:
+    """_min_sibling_gap of a level from as few of its primes as it takes.
+
+    ``spans`` are the successor intervals of the parents with two or more
+    successors, right to left, and ``lowest`` is the level's lowest integer.
+    The primes are listed backwards from the right end, in windows that
+    double leftwards through the last parent's interval and then the ones
+    before it.  So the first pair seen with a difference d is d's
+    rightmost, the pair _min_sibling_gap certifies; the pair across two
+    windows of one parent is a sibling pair, the pair across two parents
+    is not.  The listing stops once _unseen_gap_floor shows that no
+    difference not yet seen can beat the least gap so far.
+    """
+    s_min = _gap_scale(lowest, e)
+    gaps: Dict[int, Fraction] = {}
+    width = 0
+    for lo, hi in spans:
+        width = width or _first_window(hi)
+        right: List[int] = []  # the least prime listed in this interval
+        while lo <= hi:
+            left = max(lo, hi - width + 1)
+            found = primality.primes_in_range(left, hi) + right
+            new = {q - p: p for p, q in pairwise(found) if q - p not in gaps}
+            gaps.update((d, _certified_gap(p + 1, p + d, e)) for d, p in new.items())
+            right, hi, width = found[:1], left - 1, 2 * width
+            if gaps:
+                least = min(gaps.values())
+                x = found[0] if found else left
+                if _unseen_gap_floor(gaps, x, e, s_min, lowest <= 2) >= least:
+                    return least
+    return min(gaps.values())
+
+
+def _first_window(hi: int) -> int:
+    """Width of the first window _tail_gap lists, ending at hi.
+
+    b**2 integers for b = hi.bit_length(), about 2.1 (ln hi)**2: near 2.7
+    times the mean distance between twin primes there (Hardy-Littlewood),
+    whose rightmost pair most often certifies the least gap.
+    """
+    return hi.bit_length() ** 2
+
+
+def _unseen_gap_floor(
+    gaps: Dict[int, Fraction], x: int, e: Fraction, s_min: int, two: bool,
+) -> Fraction:
+    """An exact lower bound on the certified gap of every sibling pair whose
+    difference is not among those in ``gaps``, given that each such pair
+    has its upper label at most x, that every certified gap of the level
+    has a scale of at least s_min, and whether the prime 2 may lie in the
+    level (``two``).
+
+    Let d be the least difference not in ``gaps``; an odd one other than 1
+    needs 2 below an odd prime other than 3.  A pair's true gap is then at
+    least (d - 1) * e * x**(e - 1), as y**e is concave, and its certified
+    gap is less than 2**(1 - s) below the true one, for its scale
+    s >= s_min.  x**e enters as its floor at scale 2**s_min.
+    """
+    d = 2
+    while d in gaps:
+        d += 2
+    if two and 1 not in gaps:
+        d = 1
+    floor = scaled_pow(x, e, 1 << s_min)[0]
+    return (d - 1) * e * Fraction(floor, x << s_min) - Fraction(2, 1 << s_min)
 
 
 def _min_sibling_gap(rightmost: Dict[int, int], e: Fraction) -> Fraction:
@@ -316,7 +414,7 @@ def _certified_gap(lower_label: int, upper_label: int, e: Fraction) -> Fraction:
     makes the bound positive for sibling labels (they differ by at least 2);
     a bound that is not raises UncertifiedGapError.
     """
-    s = max(4, _slope_scale(upper_label, e) + _GUARD_BITS)
+    s = _gap_scale(upper_label, e)
     gap = (scaled_pow(upper_label, e, 1 << s)[0]
            - scaled_pow(lower_label, e, 1 << s)[1])
     if gap <= 0:
@@ -325,6 +423,11 @@ def _certified_gap(lower_label: int, upper_label: int, e: Fraction) -> Fraction:
             f"certified positive at scale 2**-{s}"
         )
     return Fraction(gap, 1 << s)
+
+
+def _gap_scale(upper_label: int, e: Fraction) -> int:
+    """The scale _certified_gap takes; it never falls as the label grows."""
+    return max(4, _slope_scale(upper_label, e) + _GUARD_BITS)
 
 
 def _slope_scale(x: int, e: Fraction) -> int:

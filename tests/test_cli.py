@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from sympy import nextprime
@@ -103,6 +104,17 @@ def test_mills_rejects_digits_below_one_before_the_search(capsys, monkeypatch, d
     code, out, err = run(capsys, "mills", "--seed", "5", "--c", "2", "--steps", "10",
                          "--digits", digits)
     assert (code, out, err) == (2, "", "error: digit count must be positive\n")
+
+
+def test_mills_refuses_too_few_integer_digits_before_the_search(capsys):
+    # Every constant on a chain through 100003 at c = 2 lies near 316.23,
+    # which has three integer digits; the 8-step search would take 30 s.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mills", "--seed", "100003", "--c", "2", "--steps", "8",
+                         "--digits", "2")
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (
+        2, "", "error: the constant has 3 integer digits; request at least 3 digits\n")
 
 
 def test_mills_head_tail_exponents(capsys):

@@ -12,6 +12,7 @@ from primecantor.certified import root_enclosure, scaled_pow
 from primecantor.chains import ExponentSequence, PrimeChain, extend_greedy
 from primecantor.constant import (
     certified_prefix,
+    check_digit_count,
     digits,
     max_determined_digits,
     verify_representation,
@@ -216,6 +217,17 @@ def test_bracket_slack_below_an_eighth_of_the_width(p, c, steps):
     # rounding slack 2**-s under width/8.
     lo, hi, s = bracket_for_chain(seed_chain(p, c, steps))
     assert 8 * Fraction(1, 1 << s) < hi - lo
+
+
+def test_check_digit_count_reads_the_integer_digits_of_a_chain():
+    # Every constant on a chain through 101 lies in [10.0498, 10.0995).
+    with pytest.raises(ValueError, match="^the constant has 2 integer digits; "):
+        check_digit_count(1, seed_chain(101, 2))
+    check_digit_count(2, seed_chain(101, 2))
+    # [9.87, 10.08) under 31 at c = 3/2 leaves the count open.
+    check_digit_count(1, seed_chain(31, Fraction(3, 2)))
+    with pytest.raises(ValueError, match="^digit count must be positive$"):
+        check_digit_count(0, seed_chain(101, 2))
 
 
 def test_prefix_empty_when_the_integer_part_is_open():

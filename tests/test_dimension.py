@@ -9,15 +9,23 @@ from itertools import accumulate, pairwise
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from primecantor import dimension, primality
 from primecantor.certified import root_enclosure
-from primecantor.chains import ExponentSequence, TreeNode, enumerate_tree
+from primecantor.chains import (
+    ExponentSequence,
+    TreeNode,
+    admissible_interval,
+    enumerate_tree,
+    sieve_level,
+)
 from primecantor.dimension import (
     DimensionParams,
     LevelStats,
     _certified_gap,
+    _counted_level_stats,
+    _first_window,
     _level_stats,
     _log_frac,
     branching_growth_log,
@@ -31,6 +39,7 @@ from primecantor.dimension import (
 )
 from primecantor.errors import (
     InapplicableLevelsError,
+    PrimeCantorError,
     ResourceBudgetError,
     TruncatedTreeError,
     UncertifiedGapError,
@@ -508,7 +517,8 @@ def test_stream_levels_raise_as_measured_levels(seed, c, depth):
 
 def test_stream_levels_peak_memory_stays_small():
     # The tree behind this row peaks near 52 MiB; the stream keeps one
-    # interval's primes and the 58 level-2 labels.
+    # level-2 interval's primes and the 58 level-2 labels, and counts
+    # level 3, listing only a window at its right end.
     es = ExponentSequence.constant(2)
     stream_levels(307, es, 2)  # grows the base-prime table first
     tracemalloc.start()
@@ -536,6 +546,95 @@ def test_stream_levels_over_budget_level_fails_before_sieving(monkeypatch):
     with pytest.raises(ResourceBudgetError, match="width 1657"):
         stream_levels(2, ExponentSequence.constant(3), 2)
     assert sieved == [(8, 26)]
+
+
+def _counted_and_listed(k, labels, es, interval=admissible_interval):
+    """(k, log_m, log_eps), or the error's type and text, of level k under
+    ``labels``: counted, and folded from the listed successors."""
+    def outcome(level):
+        try:
+            stats = level()
+        except PrimeCantorError as exc:
+            return type(exc), str(exc)
+        return stats.k, stats.log_m, stats.log_eps
+
+    def listed():
+        return _level_stats(k, labels, sieve_level(labels, es.c(k), interval), es)[0]
+
+    return outcome(lambda: _counted_level_stats(k, labels, es, interval)), outcome(listed)
+
+
+_SEEDS_BELOW_2000 = primality.small_primes(2000)
+# The deepest level keeps its rightmost parents up to this total width.
+_LEVEL_WIDTH = 1 << 19
+
+
+@given(
+    st.sampled_from(_SEEDS_BELOW_2000),
+    st.sampled_from([Fraction(3, 2), Fraction(7, 4), Fraction(2), Fraction(5, 2),
+                     Fraction(3)]),
+    st.integers(1, 2),
+)
+@example(103, Fraction(3, 2), 2)  # dead end under 1051
+@example(3, Fraction(3, 2), 1)  # no sibling pair
+@example(100003, Fraction(2), 1)
+@settings(max_examples=60, deadline=None)
+def test_counted_level_equals_listed_level(seed, c, depth):
+    es = ExponentSequence.constant(c)
+    labels = [seed]
+    if depth == 2:
+        lo, hi = admissible_interval(seed, c)
+        assume(hi - lo < _LEVEL_WIDTH)
+        labels = primality.primes_in_range(lo, hi)
+    widths = accumulate(hi - lo + 1 for lo, hi in (
+        admissible_interval(a, c) for a in reversed(labels)))
+    n = sum(1 for w in widths if w <= _LEVEL_WIDTH)
+    assume(labels and n)
+    counted, listed = _counted_and_listed(depth + 1, labels[-n:], es)
+    assert counted == listed
+
+
+_SPANS = {
+    # 2 lies in the level: the pair 2, 3 has an empty gap, and difference
+    # 1 never drops out of the unseen ones.
+    "pair-2-3": {10: (2, 3), 20: (5, 400)},
+    "2-alone": {10: (2, 2), 20: (5, 400)},
+    # The rightmost twins straddle the first window's left edge.
+    "across-windows": {10: (100500, 101089)},
+    # 100151 ends one parent and 100153 starts the next; neither parent
+    # holds a pair of twins.
+    "across-parents": {10: (100091, 100151), 20: (100152, 100351)},
+}
+
+
+@pytest.mark.parametrize("spans", _SPANS.values(), ids=_SPANS)
+def test_counted_level_equals_listed_level_on_given_spans(spans):
+    counted, listed = _counted_and_listed(
+        2, list(spans), ExponentSequence.constant(2), lambda a, c: spans[a])
+    assert counted == listed
+
+
+def test_across_windows_spans_straddle_the_first_window():
+    # The first window under 101089 starts at 100801, of the twins 100799, 100801.
+    assert 101089 - _first_window(101089) + 1 == 100801
+
+
+def test_stream_levels_lists_a_sliver_of_the_deepest_level(monkeypatch):
+    # Seed 100003 at c = 2 has one level-2 interval, 200,006 wide; its
+    # rightmost twin pair lies 268 below the right end.
+    lo, hi = admissible_interval(100003, 2)
+    listed = []
+    listing = primality.primes_in_range
+
+    def recording(a, b):
+        listed.append((a, b))
+        return listing(a, b)
+
+    monkeypatch.setattr(primality, "primes_in_range", recording)
+    stream_levels(100003, ExponentSequence.constant(2), 1)
+    assert hi - lo == 200_006
+    assert listed and all(lo <= a <= b <= hi for a, b in listed)
+    assert sum(b - a + 1 for a, b in listed) < (hi - lo) // 100
 
 
 def test_measured_feeds_estimator():
