@@ -4,14 +4,13 @@ A chain (a_1, ..., a_k) of primes with a_{i+1} in the admissible interval
 [ceil(a_i ** c_{i+1}), ceil((a_i + 1) ** c_{i+1}) - 1] pins down a family
 of constants A with floor(A ** C_i) = a_i at every level; the tree of all
 such chains is the Cantor-type set whose dimension the rest of the package
-estimates.
+estimates.  Each tree level's intervals are sieved in one ``sieve_windows`` pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import starmap
-from typing import Iterator, List, Literal, Optional, Sequence, Tuple, Union
+from typing import Literal, Optional, Sequence, Tuple
 
 from . import primality
 from .certified import pow_ceil, scaled_pow
@@ -168,21 +167,6 @@ class TreeNode:
             stack.extend(reversed(node.children))
 
 
-def sieve_level(
-    labels: Sequence[int], c: Fraction, interval=admissible_interval, count: bool = False,
-) -> Iterator[Union[int, List[int]]]:
-    """The primes in ``interval(a, c)``, ascending, or with ``count`` their
-    number, for each label a in order, as soon as that interval is sieved.
-    The widest interval is checked against the width budget first, so a
-    level over it fails before any of it is sieved.
-    """
-    spans = [interval(a, c) for a in labels]
-    if spans:
-        primality.check_window(*max(spans, key=lambda span: span[1] - span[0]))
-    sieve = primality.count_primes_in_range if count else primality.primes_in_range
-    return starmap(sieve, spans)
-
-
 def enumerate_tree(
     seed: int,
     exponents: ExponentSequence,
@@ -200,9 +184,9 @@ def enumerate_tree(
     ``count_leaves`` asks for their successor counts too (which costs one
     more level of sieving).
 
-    Each level is one ``sieve_level`` pass, zipped with the level's nodes,
-    which sets each node as soon as its interval is sieved; the node budget
-    is checked after each interval.
+    Each level is one ``primality.sieve_windows`` pass over the level's
+    intervals, zipped with its nodes, which sets each node as soon as its
+    interval is sieved; the node budget is checked after each interval.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -214,8 +198,8 @@ def enumerate_tree(
     root = TreeNode(PrimeChain.seed(seed, exponents).last, 1)
     level, size = [root], 1
     for k in range(2, depth + count_leaves + 2):  # level k: the successors of ``level``
-        leaves = k == depth + 2
-        found_lists = sieve_level([n.label for n in level], exponents.c(k), interval, leaves)
+        leaves, c = k == depth + 2, exponents.c(k)
+        found_lists = primality.sieve_windows([interval(n.label, c) for n in level], leaves)
         for node, found in zip(level, found_lists):
             node.branching_total = found if leaves else len(found)
             if not leaves:

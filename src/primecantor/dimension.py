@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import primality
 from .certified import scaled_pow
-from .chains import ExponentSequence, PrimeChain, TreeNode, admissible_interval, sieve_level
+from .chains import ExponentSequence, PrimeChain, TreeNode, admissible_interval
 from .errors import InapplicableLevelsError, TruncatedTreeError, UncertifiedGapError
 
 LOG2 = math.log(2.0)
@@ -261,11 +261,15 @@ def stream_levels(seed: int, exponents: ExponentSequence, depth: int) -> List[Le
     if depth == 0:
         raise TruncatedTreeError(_TOO_SHALLOW)
     out = []
-    for k in range(2, depth + 1):
-        stats, labels = _level_stats(
-            k, labels, sieve_level(labels, exponents.c(k)), exponents, keep=True)
+    for k in range(2, depth + 2):
+        c = exponents.c(k)
+        spans = [admissible_interval(a, c) for a in labels]
+        if k <= depth:
+            stats, labels = _level_stats(
+                k, labels, primality.sieve_windows(spans), exponents, keep=True)
+        else:
+            stats = _counted_level_stats(k, labels, spans, exponents)
         out.append(stats)
-    out.append(_counted_level_stats(depth + 1, labels, exponents))
     return out
 
 
@@ -308,23 +312,22 @@ def _no_sibling_pair(k: int) -> InapplicableLevelsError:
 
 
 def _counted_level_stats(
-    k: int, labels: Sequence[int], exponents: ExponentSequence,
-    interval=admissible_interval,
+    k: int, labels: Sequence[int], spans: Sequence[Tuple[int, int]],
+    exponents: ExponentSequence,
 ) -> LevelStats:
-    """What _level_stats gives for the successors in ``interval`` of the
-    level-(k-1) ``labels``, with the successors counted, not listed: m_k
+    """What _level_stats gives for the level-(k-1) ``labels`` whose successor
+    intervals are ``spans``, with the successors counted, not listed: m_k
     and the first dead end come from the counts, eps_k from _tail_gap.
     """
-    c = exponents.c(k)
     counts = []
-    for parent, n in zip(labels, sieve_level(labels, c, interval, count=True)):
+    for parent, n in zip(labels, primality.sieve_windows(spans, count=True)):
         if not n:
             raise _dead_end(k, parent)
         counts.append(n)
     if max(counts, default=0) < 2:
         raise _no_sibling_pair(k)
-    tail = (interval(a, c) for a, n in zip(reversed(labels), reversed(counts)) if n > 1)
-    eps_k = _tail_gap(tail, interval(labels[0], c)[0], 1 / exponents.C(k))
+    tail = (span for span, n in zip(reversed(spans), reversed(counts)) if n > 1)
+    eps_k = _tail_gap(tail, spans[0][0], 1 / exponents.C(k))
     return LevelStats(k, math.log(min(counts)), _log_frac(eps_k))
 
 

@@ -17,9 +17,11 @@ confirmed with ``is_prime``.  The first-prime search strikes with base
 primes up to a depth that grows with the size of lo, in segments that
 start near the expected gap to the next prime and double on a miss, while
 listing and counting strike ``SEGMENT_SIZE`` segments.  Listing and counting
-refuse a window wider than ``WIDTH_LIMIT``.  Besides is_prime's remembered
-verdicts, the only shared state is one ascending table of base primes,
-grown in place by doubling as windows need it.
+refuse a window wider than ``WIDTH_LIMIT``, and ``sieve_windows`` checks a
+list's widest window first, so the list fails before any of it is sieved.
+Besides is_prime's remembered verdicts, the only shared state is one
+ascending table of base primes, grown in place by doubling as windows need
+it.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import functools
 import math
 import random
 from bisect import bisect_left, bisect_right
-from itertools import compress
-from typing import Iterator, List, Tuple
+from itertools import compress, starmap
+from typing import Iterator, List, Sequence, Tuple, Union
 
 from .errors import NoPrimeInIntervalError, ResourceBudgetError
 
@@ -376,7 +378,7 @@ def _primes(lo: int, hi: int, base_limit: int, size: int) -> Iterator[int]:
         yield from filter(is_prime, survivors) if need_check else survivors
 
 
-def check_window(lo: int, hi: int) -> None:
+def _check_window(lo: int, hi: int) -> None:
     """Raise unless [lo, hi] is a nonempty window within the width budget."""
     if lo > hi:
         raise ValueError(f"prime enumeration requires lo <= hi, got [{lo}, {hi}]")
@@ -393,7 +395,7 @@ def primes_in_range(lo: int, hi: int) -> List[int]:
     Raises ValueError when lo > hi, and ResourceBudgetError when the width
     exceeds WIDTH_LIMIT.
     """
-    check_window(lo, hi)
+    _check_window(lo, hi)
     return list(_primes(lo, hi, DEFAULT_SIEVE.base_prime_limit, SEGMENT_SIZE))
 
 
@@ -405,13 +407,29 @@ def count_primes_in_range(lo: int, hi: int) -> int:
     primes stop short of sqrt(hi): there the primes that primes_in_range
     lists, each survivor confirmed by is_prime, are counted.
     """
-    check_window(lo, hi)
+    _check_window(lo, hi)
     base_limit = DEFAULT_SIEVE.base_prime_limit
     if _far(hi, base_limit):
         return sum(1 for _ in _primes(lo, hi, base_limit, SEGMENT_SIZE))
     return int(lo <= 2 <= hi) + sum(
         flags.count(1) for _, flags in _sieved(lo, hi, base_limit, SEGMENT_SIZE)
     )
+
+
+def sieve_windows(
+    spans: Sequence[Tuple[int, int]], count: bool = False,
+) -> Iterator[Union[List[int], int]]:
+    """primes_in_range, or with ``count`` count_primes_in_range, of each
+    window (lo, hi) in ``spans``, in order, as soon as that window is sieved.
+
+    The widest window is checked against the width budget first, so a list
+    with a window over it fails before any of it is sieved; an empty list
+    checks and sieves nothing.  Both sieves are looked up when this is
+    called, so a wrapper set on this module sees every window.
+    """
+    if spans:
+        _check_window(*max(spans, key=lambda span: span[1] - span[0]))
+    return starmap(count_primes_in_range if count else primes_in_range, spans)
 
 
 def _first_hit_base_limit(lo: int) -> int:

@@ -4,7 +4,8 @@ The chain construction leans on short intervals [x, x + x**gamma] and
 [p**c, p**c + p**(c-1)] holding their expected share of primes.  The
 theory guarantees this only for sufficiently large x with unspecified
 constants, so this module measures: it reports counts and density ratios
-and leaves thresholds to the caller.
+and leaves thresholds to the caller.  Each census counts its list of
+windows in one ``primality.sieve_windows`` pass, widest window checked first.
 """
 
 from __future__ import annotations
@@ -38,14 +39,6 @@ class SurveyRecord(NamedTuple):
 CSV_HEADER = "anchor,lo,hi,count,density_ratio"
 
 
-def _gamma_record(x: int, gamma: Fraction) -> SurveyRecord:
-    length = scaled_pow(x, gamma)[0]
-    lo, hi = x, x + length
-    count = primality.count_primes_in_range(lo, hi)
-    ratio = count * math.log(x) / math.exp(float(gamma) * math.log(x))
-    return SurveyRecord(x, lo, hi, count, ratio)
-
-
 def gamma_survey(x_values: Sequence[int], gamma: Fraction) -> List[SurveyRecord]:
     """Count primes in [x, x + floor(x**gamma)] for each anchor x.
 
@@ -59,7 +52,11 @@ def gamma_survey(x_values: Sequence[int], gamma: Fraction) -> List[SurveyRecord]
     for x in x_values:
         if x < 2:
             raise ValueError("anchors must be >= 2")
-    return [_gamma_record(x, gamma) for x in x_values]
+    spans = [(x, x + scaled_pow(x, gamma)[0]) for x in x_values]
+    return [
+        SurveyRecord(x, x, hi, n, n * math.log(x) / math.exp(float(gamma) * math.log(x)))
+        for (x, hi), n in zip(spans, primality.sieve_windows(spans, count=True))
+    ]
 
 
 def _anchor_upper_bound(X: int, c: Fraction) -> int:
@@ -90,15 +87,12 @@ def matomaki_fraction(
         raise EmptyCensusError(
             f"no primes in [{X}, (3/2)**(1/{c}) * {X}]"
         )
-    total = len(anchors)
-    good = sum(_window_is_good(p, c, d_threshold) for p in anchors)
-    return total, good, good / total
-
-
-def _window_is_good(p: int, c: Fraction, d_threshold: float) -> bool:
-    lo, hi = counting_subinterval(p, c)
-    count = primality.count_primes_in_range(lo, hi)
+    windows = [counting_subinterval(p, c) for p in anchors]
     c_f = float(c)
-    expected = math.exp((c_f - 1.0) * math.log(p)) / (c_f * math.log(p))
-    return count > d_threshold * expected
+    good = 0
+    for p, count in zip(anchors, primality.sieve_windows(windows, count=True)):
+        expected = math.exp((c_f - 1.0) * math.log(p)) / (c_f * math.log(p))
+        good += count > d_threshold * expected
+    total = len(anchors)
+    return total, good, good / total
 

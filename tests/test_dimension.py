@@ -18,7 +18,6 @@ from primecantor.chains import (
     TreeNode,
     admissible_interval,
     enumerate_tree,
-    sieve_level,
 )
 from primecantor.dimension import (
     DimensionParams,
@@ -548,9 +547,10 @@ def test_stream_levels_over_budget_level_fails_before_sieving(monkeypatch):
     assert sieved == [(8, 26)]
 
 
-def _counted_and_listed(k, labels, es, interval=admissible_interval):
+def _counted_and_listed(k, labels, spans, es):
     """(k, log_m, log_eps), or the error's type and text, of level k under
-    ``labels``: counted, and folded from the listed successors."""
+    ``labels``, whose successor intervals are ``spans``: counted, and folded
+    from the listed successors."""
     def outcome(level):
         try:
             stats = level()
@@ -559,9 +559,9 @@ def _counted_and_listed(k, labels, es, interval=admissible_interval):
         return stats.k, stats.log_m, stats.log_eps
 
     def listed():
-        return _level_stats(k, labels, sieve_level(labels, es.c(k), interval), es)[0]
+        return _level_stats(k, labels, primality.sieve_windows(spans), es)[0]
 
-    return outcome(lambda: _counted_level_stats(k, labels, es, interval)), outcome(listed)
+    return outcome(lambda: _counted_level_stats(k, labels, spans, es)), outcome(listed)
 
 
 _SEEDS_BELOW_2000 = primality.small_primes(2000)
@@ -586,11 +586,11 @@ def test_counted_level_equals_listed_level(seed, c, depth):
         lo, hi = admissible_interval(seed, c)
         assume(hi - lo < _LEVEL_WIDTH)
         labels = primality.primes_in_range(lo, hi)
-    widths = accumulate(hi - lo + 1 for lo, hi in (
-        admissible_interval(a, c) for a in reversed(labels)))
+    spans = [admissible_interval(a, c) for a in labels]
+    widths = accumulate(hi - lo + 1 for lo, hi in reversed(spans))
     n = sum(1 for w in widths if w <= _LEVEL_WIDTH)
     assume(labels and n)
-    counted, listed = _counted_and_listed(depth + 1, labels[-n:], es)
+    counted, listed = _counted_and_listed(depth + 1, labels[-n:], spans[-n:], es)
     assert counted == listed
 
 
@@ -610,7 +610,7 @@ _SPANS = {
 @pytest.mark.parametrize("spans", _SPANS.values(), ids=_SPANS)
 def test_counted_level_equals_listed_level_on_given_spans(spans):
     counted, listed = _counted_and_listed(
-        2, list(spans), ExponentSequence.constant(2), lambda a, c: spans[a])
+        2, list(spans), list(spans.values()), ExponentSequence.constant(2))
     assert counted == listed
 
 

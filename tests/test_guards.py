@@ -19,6 +19,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "primecantor"
 OWNERS = [
     # The sieve budgets belong to primality.
     ("sieve_config|SieveConfig|WIDTH_LIMIT", "primality.py"),
+    # So does the check of a window, and of a list's widest window first.
+    ("check_window", "primality.py"),
     # The tree node budget belongs to chains.
     ("NODE_BUDGET", "chains.py"),
     # Exact roots belong to certified.

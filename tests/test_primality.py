@@ -20,6 +20,7 @@ from primecantor.primality import (
     is_prime,
     is_probable_only,
     primes_in_range,
+    sieve_windows,
     small_primes,
 )
 
@@ -180,6 +181,53 @@ def test_primes_in_range_width_budget(monkeypatch):
     with pytest.raises(ResourceBudgetError):
         count_primes_in_range(0, 100)
     assert primes_in_range(8, 17) == [11, 13, 17]
+
+
+def _record_sieves(monkeypatch):
+    """The windows each sieve is called on, as they are called."""
+    sieved = []
+    for name in ("primes_in_range", "count_primes_in_range"):
+        def recording(lo, hi, sieve=getattr(primality, name), name=name):
+            sieved.append((name, lo, hi))
+            return sieve(lo, hi)
+
+        monkeypatch.setattr(primality, name, recording)
+    return sieved
+
+
+@pytest.mark.parametrize("count", [False, True])
+def test_sieve_windows_of_no_windows_checks_and_sieves_nothing(monkeypatch, count):
+    # A budget of 0 would refuse every window that is checked.
+    monkeypatch.setattr(primality, "WIDTH_LIMIT", 0)
+    sieved = _record_sieves(monkeypatch)
+    assert list(sieve_windows([], count)) == []
+    assert sieved == []
+
+
+def test_sieve_windows_lists_and_counts_each_window(monkeypatch):
+    # (2, 3) and (0, 10) hold 2; the last window is past 2**40, where the
+    # base primes stop short of sqrt(hi).
+    far = 2**41
+    spans = [(0, 10), (2, 3), (24, 28), (8, 26), (10**6, 10**6 + 1000), (far, far + 500)]
+    sieved = _record_sieves(monkeypatch)
+    listed = list(sieve_windows(spans))
+    counted = list(sieve_windows(spans, count=True))
+    assert listed == [list(primerange(lo, hi + 1)) for lo, hi in spans]
+    assert counted == [len(found) for found in listed]
+    assert sieved == [(name, lo, hi) for name in ("primes_in_range", "count_primes_in_range")
+                      for lo, hi in spans]
+
+
+@pytest.mark.parametrize("count", [False, True])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_sieve_windows_over_budget_fails_before_sieving(monkeypatch, at, count):
+    monkeypatch.setattr(primality, "WIDTH_LIMIT", 100)
+    spans = [(8, 26), (100, 199)]
+    spans.insert(at, (1000, 1100))  # 101 integers
+    sieved = _record_sieves(monkeypatch)
+    with pytest.raises(ResourceBudgetError, match="width 101"):
+        list(sieve_windows(spans, count))
+    assert sieved == []
 
 
 def test_first_prime_search_has_no_width_budget(monkeypatch):

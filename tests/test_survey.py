@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from primecantor.errors import EmptyCensusError
+from primecantor import primality
+from primecantor.errors import EmptyCensusError, ResourceBudgetError
 from primecantor.primality import primes_in_range
 from primecantor.survey import (
     CSV_HEADER,
@@ -63,6 +64,36 @@ def test_matomaki_fraction_validation():
         matomaki_fraction(100, Fraction(3, 2), 0.5)
     with pytest.raises(ValueError):
         matomaki_fraction(100, Fraction(2), 1.0)
+
+
+def _record_counts(monkeypatch):
+    counted = []
+    counting = primality.count_primes_in_range
+
+    def recording(lo, hi):
+        counted.append((lo, hi))
+        return counting(lo, hi)
+
+    monkeypatch.setattr(primality, "count_primes_in_range", recording)
+    return counted
+
+
+def test_gamma_census_over_budget_fails_before_counting(monkeypatch):
+    # The second window holds 10**9 + 1 integers, over the 2 * 10**8 budget.
+    counted = _record_counts(monkeypatch)
+    with pytest.raises(ResourceBudgetError, match="width 1000000001"):
+        gamma_survey([10**6, 10**9], Fraction(1))
+    assert counted == []
+
+
+def test_matomaki_census_over_budget_fails_before_counting(monkeypatch):
+    # The windows [p**2, p**2 + p] of the anchors 101, ..., 113 hold p + 1
+    # integers: only the last, of 114, is over a budget of 110.
+    monkeypatch.setattr(primality, "WIDTH_LIMIT", 110)
+    counted = _record_counts(monkeypatch)
+    with pytest.raises(ResourceBudgetError, match="width 114"):
+        matomaki_fraction(100, Fraction(2), 0.5)
+    assert counted == []
 
 
 def test_csv_row_shape():
