@@ -127,12 +127,11 @@ def cmd_tree(args) -> int:
         policy=args.policy,
         count_leaves=args.count_leaves,
     )
-    for node in root.walk():
-        pp = primality.is_probable_only(node.label)
-        print(
-            f"{node.level - 1},{node.label},{node.branching_total},"
-            f"{int(node.truncated)},{int(pp)}"
-        )
+    sys.stdout.writelines(
+        f"{node.level - 1},{node.label},{node.branching_total},"
+        f"{int(node.truncated)},{int(primality.is_probable_only(node.label))}\n"
+        for node in root.walk()
+    )
     return 0
 
 
@@ -281,71 +280,94 @@ def cmd_survey(args) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="primecantor",
-        description="prime-chain Cantor trees and dimension bounds",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_mills(parser: argparse.ArgumentParser):
+    parser.add_argument("--seed", type=int, required=True)
+    _add_exponent_flags(parser)
+    parser.add_argument("--steps", type=int, default=3)
+    parser.add_argument("--digits", type=int, default=9)
+    parser.add_argument("--allow-partial", action="store_true")
+    parser.set_defaults(func=cmd_mills)
 
-    p_mills = sub.add_parser("mills", help="greedy chain + certified digits")
-    p_mills.add_argument("--seed", type=int, required=True)
-    _add_exponent_flags(p_mills)
-    p_mills.add_argument("--steps", type=int, default=3)
-    p_mills.add_argument("--digits", type=int, default=9)
-    p_mills.add_argument("--allow-partial", action="store_true")
-    p_mills.set_defaults(func=cmd_mills)
 
-    p_tree = sub.add_parser("tree", help="enumerate the construction tree")
-    p_tree.add_argument("--seed", type=int, required=True)
-    _add_exponent_flags(p_tree)
-    p_tree.add_argument("--depth", type=int, default=1)
-    p_tree.add_argument("--cap", type=int, default=None)
-    p_tree.add_argument("--policy", choices=["full", "counting"], default="full")
-    p_tree.add_argument("--count-leaves", action="store_true")
-    p_tree.set_defaults(func=cmd_tree)
+def _add_tree(parser: argparse.ArgumentParser):
+    parser.add_argument("--seed", type=int, required=True)
+    _add_exponent_flags(parser)
+    parser.add_argument("--depth", type=int, default=1)
+    parser.add_argument("--cap", type=int, default=None)
+    parser.add_argument("--policy", choices=["full", "counting"], default="full")
+    parser.add_argument("--count-leaves", action="store_true")
+    parser.set_defaults(func=cmd_tree)
 
-    p_dim = sub.add_parser("dimension", help="dimension estimates and bounds")
-    p_dim.add_argument(
+
+def _add_dimension(parser: argparse.ArgumentParser):
+    parser.add_argument(
         "--preset",
         choices=["cantor-thirds", "paper-simple", "paper-general", "measured"],
         default=None,
     )
-    p_dim.add_argument("--levels-file", default=None)
-    p_dim.add_argument("--bound", action="store_true")
+    parser.add_argument("--levels-file", default=None)
+    parser.add_argument("--bound", action="store_true")
     # _dimension_source fills in the defaults once it has checked the flags.
-    p_dim.add_argument("--kmax", type=int, default=None)
-    p_dim.add_argument("--delta", type=float, default=None)
-    p_dim.add_argument("--d1", type=float, default=None)
-    p_dim.add_argument("--Q", type=float, default=None)
-    p_dim.add_argument("--L", type=float, default=None)
-    p_dim.add_argument("--p", "--seed", type=int, default=None, help="seed prime a1")
-    p_dim.add_argument("--depth", type=int, default=None)
-    _add_exponent_flags(p_dim)
-    p_dim.add_argument("--out", choices=["json", "csv"], default="csv")
-    p_dim.set_defaults(func=cmd_dimension)
+    parser.add_argument("--kmax", type=int, default=None)
+    parser.add_argument("--delta", type=float, default=None)
+    parser.add_argument("--d1", type=float, default=None)
+    parser.add_argument("--Q", type=float, default=None)
+    parser.add_argument("--L", type=float, default=None)
+    parser.add_argument("--p", "--seed", type=int, default=None, help="seed prime a1")
+    parser.add_argument("--depth", type=int, default=None)
+    _add_exponent_flags(parser)
+    parser.add_argument("--out", choices=["json", "csv"], default="csv")
+    parser.set_defaults(func=cmd_dimension)
 
-    p_survey = sub.add_parser("survey", help="short-interval density surveys")
-    survey_sub = p_survey.add_subparsers(dest="mode", required=True)
 
-    p_gamma = survey_sub.add_parser("gamma")
+def _add_survey(parser: argparse.ArgumentParser):
+    modes = parser.add_subparsers(dest="mode", required=True)
+
+    p_gamma = modes.add_parser("gamma")
     p_gamma.add_argument("--x", type=int, action="append", required=True)
     p_gamma.add_argument("--gamma", type=_parse_fraction, required=True)
     p_gamma.set_defaults(func=cmd_survey)
 
-    p_mato = survey_sub.add_parser("matomaki")
+    p_mato = modes.add_parser("matomaki")
     p_mato.add_argument("--X", type=int, required=True)
     p_mato.add_argument("--c", type=_parse_fraction, required=True)
     p_mato.add_argument("--d", type=float, required=True)
     p_mato.set_defaults(func=cmd_survey)
 
+
+# Each subcommand's help line and the function that adds its arguments, in
+# the order the top-level help lists them.
+_SUBCOMMANDS = {
+    "mills": ("greedy chain + certified digits", _add_mills),
+    "tree": ("enumerate the construction tree", _add_tree),
+    "dimension": ("dimension estimates and bounds", _add_dimension),
+    "survey": ("short-interval density surveys", _add_survey),
+}
+
+
+@functools.cache
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with ``command`` of that one only."""
+    parser = argparse.ArgumentParser(
+        prog="primecantor",
+        description="prime-chain Cantor trees and dimension bounds",
+    )
+    # The metavar gives a one-subcommand parser the full parser's usage line;
+    # on the full parser it would replace the name "command" in its errors.
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one subcommand.
 
+    ``argv`` defaults to ``sys.argv[1:]``.  A run builds the parser of its
+    own subcommand only (once per process); help, no command and an
+    unknown command build the parser of all four.
     Library failures (PrimeCantorError) and running out of memory exit 1;
     invalid input (ValueError, such as a composite seed or a malformed
     levels file, and OverflowError, such as an exponent past float range)
@@ -355,7 +377,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     CPython's cap on int-to-str digits is lifted for the run, since
     ``--digits`` may ask for more, and restored on return.
     """
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     str_digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if str_digits is not None:
         sys.set_int_max_str_digits(0)

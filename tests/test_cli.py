@@ -1,11 +1,13 @@
 """End-to-end command-line behavior."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
@@ -14,7 +16,7 @@ from sympy import nextprime
 import primecantor
 from primecantor import chains, primality, survey
 from primecantor.chains import admissible_interval
-from primecantor.cli import main
+from primecantor.cli import build_parser, main
 from primecantor.dimension import proposition_bound
 from primecantor.primality import primes_in_range
 
@@ -546,12 +548,94 @@ def test_survey_gamma_rows(capsys):
     assert lines[1].split(",")[3] == "1"
 
 
-def test_main_runs_twice_in_one_process(capsys):
-    # The parser is built once; repeated --x flags must not carry over.
-    for _ in range(2):
-        code, out, _ = run(capsys, "survey", "gamma", "--x", "1000", "--gamma", "1/2")
+def test_main_runs_twice_in_one_process(capsys, run_fresh):
+    # Each subcommand's parser is built once per process and reused: each run
+    # prints what a fresh interpreter prints, and repeated --x flags must not
+    # carry over.
+    mills = "mills --seed 2 --c 3 --steps 3"
+    gamma = "survey gamma --x 1000 --gamma 1/2"
+    runs = [mills, gamma, gamma, "tree --seed 2 --c 3 --depth 1",
+            "dimension --preset cantor-thirds --kmax 3", mills]
+    fresh = {
+        args: run_fresh(["-m", "primecantor.cli", *args.split()], text=True).stdout
+        for args in set(runs)
+    }
+    for args in runs:
+        code, out, _ = run(capsys, *args.split())
         assert code == 0
-        assert len(out.strip().splitlines()) == 2  # header + one row
+        assert out == fresh[args], args
+    assert len(fresh[gamma].strip().splitlines()) == 2  # header + one row
+
+
+# Help, usage and error text: the parser main builds for argv[0] must print
+# what the parser of every subcommand prints.
+@pytest.mark.parametrize(
+    "args",
+    ["", "-h", "--help mills", "mills -h", "tree -h", "dimension -h", "survey -h",
+     "survey gamma -h", "survey matomaki -h", "survey", "survey bogus", "mill",
+     "mills --bogus", "tree --seed x --c 3", "dimension --preset bogus",
+     "survey gamma --x 5 --gamma 1/2 extra"],
+)
+def test_usage_text_matches_the_full_parser(capsys, monkeypatch, args):
+    monkeypatch.setenv("COLUMNS", "80")
+    printed = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(args.split())
+        printed.append((exc.value.code, *capsys.readouterr()))
+    assert printed[0] == printed[1]
+    # argparse names the subcommand after the full parser's metavar.
+    named = {"": "arguments are required: command", "mill": "argument command: invalid"}
+    assert named.get(args, "") in printed[0][2]
+
+
+@pytest.mark.parametrize(
+    "args, built",
+    [("mills --seed 2 --c 3 --steps 1 --digits 1", 2),
+     ("tree --seed 2 --c 3 --depth 1", 2),
+     ("dimension --preset cantor-thirds --kmax 3", 2),
+     ("survey gamma --x 1000 --gamma 1/2", 4),
+     ("--help", 7)],
+    ids=["mills", "tree", "dimension", "survey-gamma", "help"],
+)
+def test_main_builds_only_the_parser_of_its_subcommand(capsys, monkeypatch, args, built):
+    inits = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *a, **kw):
+        inits.append(kw.get("prog"))
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    try:
+        code = main(args.split())
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        build_parser.cache_clear()  # drop the parsers built with the counter
+    capsys.readouterr()
+    assert code == 0
+    assert len(inits) == built, inits
+
+
+def test_import_builds_no_parser(run_fresh):
+    code = textwrap.dedent("""\
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *a, **kw):
+            built.append(kw.get("prog"))
+            init(self, *a, **kw)
+
+        argparse.ArgumentParser.__init__ = counting_init
+        import primecantor.cli
+        print(len(built))
+    """)
+    proc = run_fresh(["-c", code], text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_survey_matomaki(capsys):
