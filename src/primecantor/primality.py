@@ -11,17 +11,19 @@ remembered, so a prime found by a search and checked again is proved once.
 Listing, counting, the first-prime search and the growth of the base-prime
 table all go through one strike routine, ``_strike``, which flags the odd
 integers of a segment and strikes the odd multiples of the base primes; the
-prime 2 is added once by the callers.  A count is the number of set flags
-unless the base primes stop short of sqrt(hi), when the survivors are
-confirmed with ``is_prime``.  The first-prime search strikes with base
-primes up to a depth that grows with the size of lo, in segments that
-start near the expected gap to the next prime and double on a miss, while
-listing and counting strike ``SEGMENT_SIZE`` segments.  Listing and counting
-refuse a window wider than ``WIDTH_LIMIT``, and ``sieve_windows`` checks a
-list's widest window first, so the list fails before any of it is sieved.
-Besides is_prime's remembered verdicts, the only shared state is one
-ascending table of base primes, grown in place by doubling as windows need
-it.
+prime 2 is added once by the callers.  Listing and counting strike a window
+with every base prime up to sqrt(hi) while that is at most
+``DEFAULT_SIEVE.base_prime_limit`` (2**24), and then a count is the number
+of set flags; past it they strike only to ``_FAR_BASE_LIMIT`` (2**20) and
+confirm the survivors with ``is_prime``.  The first-prime search strikes
+with base primes up to a depth that grows with the size of lo, capped at
+``_FAR_BASE_LIMIT`` too, in segments that start near the expected gap to
+the next prime and double on a miss, while listing and counting strike
+``SEGMENT_SIZE`` segments.  Listing and counting refuse a window wider than
+``WIDTH_LIMIT``, and ``sieve_windows`` checks a list's widest window first,
+so the list fails before any of it is sieved.  Besides is_prime's
+remembered verdicts, the only shared state is one ascending table of base
+primes, grown in place by doubling as windows need it.
 """
 
 from __future__ import annotations
@@ -70,11 +72,15 @@ _PROVEN_CACHE_SIZE = 1024
 class SieveConfig:
     """Memory budget for interval enumeration (DEFAULT_SIEVE only).
 
-    The limit is 2**20: the shared table doubles from 4, so whenever it
-    holds the primes up to 10**6 it already holds those up to 2**20.
+    The limit is 2**24: a listing or counting window with sqrt(hi) at most
+    that is struck by every base prime up to sqrt(hi) and read from its
+    flags alone.  The shared table doubles from 4, so listing and counting
+    grow it to at most the 1,077,871 primes below 2**24 (about 43 MB).  A
+    window past the limit strikes only to _FAR_BASE_LIMIT, so it grows the
+    table no further than that.
     """
 
-    base_prime_limit = 1 << 20
+    base_prime_limit = 1 << 24
 
 
 DEFAULT_SIEVE = SieveConfig()
@@ -83,9 +89,14 @@ WIDTH_LIMIT = 200_000_000
 
 # Odd integers per listing or counting segment (one flag byte each), so a
 # segment spans 2 * SEGMENT_SIZE integers; first-hit segments grow to it.
-SEGMENT_SIZE = 1 << 18
+# Each segment computes one strike index per base prime, so longer
+# segments compute fewer of them per integer.
+SEGMENT_SIZE = 1 << 20
+# Base-prime depth of a listing or counting window past base_prime_limit,
+# whose survivors is_prime confirms, and the cap of the first-hit depth.
+_FAR_BASE_LIMIT = 1 << 20
 # Base primes whose first strike indices are computed in one comprehension;
-# chunks keep the scratch list small when the table holds 78k primes.
+# chunks keep the scratch list small when the table holds a million primes.
 _STRIKE_CHUNK = 2048
 # Strikes of fewer flags than this take an exact-length zero run from
 # _ZERO_RUNS, instead of slicing one from the segment's zero buffer.
@@ -110,8 +121,9 @@ _ZERO_RUNS = [bytearray(n) for n in range(_SHORT_RUN)]
 # Below 204 bits it falls under the floor 2**10, the least modelled cost
 # at 100 and 128 bits (2**14 models 2.6 times it at 100 bits), and with
 # the floor it stays within 8 % of the least from 100 to 512 bits.  From
-# 2048 bits on the depth is capped at enumeration's base_prime_limit,
-# 2**20, so the shared table never grows past what listing grows it to.
+# 2048 bits on the depth is capped at _FAR_BASE_LIMIT, 2**20, the depth of
+# far listing windows, so a search grows the shared table no further than
+# a far window does, and never to the 2**24 of a near listing window.
 _FIRST_HIT_BASE_FLOOR = 1 << 10
 
 # Every prime <= _covered, ascending.  _covered starts at 4 and doubles; step
@@ -368,6 +380,16 @@ def _far(hi: int, base_limit: int) -> bool:
     return math.isqrt(max(hi, 0)) > base_limit
 
 
+def _listing_base_limit(hi: int) -> int:
+    """Base-prime depth of a listing or counting window that ends at hi.
+
+    base_prime_limit while it reaches sqrt(hi), so the set flags are the
+    primes; past that _FAR_BASE_LIMIT, and survivors need is_prime.
+    """
+    limit = DEFAULT_SIEVE.base_prime_limit
+    return _FAR_BASE_LIMIT if _far(hi, limit) else limit
+
+
 def _primes(lo: int, hi: int, base_limit: int, size: int) -> Iterator[int]:
     """Ascending primes in [lo, hi], read off the _sieved segments."""
     if lo <= 2 <= hi:
@@ -396,7 +418,7 @@ def primes_in_range(lo: int, hi: int) -> List[int]:
     exceeds WIDTH_LIMIT.
     """
     _check_window(lo, hi)
-    return list(_primes(lo, hi, DEFAULT_SIEVE.base_prime_limit, SEGMENT_SIZE))
+    return list(_primes(lo, hi, _listing_base_limit(hi), SEGMENT_SIZE))
 
 
 def count_primes_in_range(lo: int, hi: int) -> int:
@@ -408,7 +430,7 @@ def count_primes_in_range(lo: int, hi: int) -> int:
     lists, each survivor confirmed by is_prime, are counted.
     """
     _check_window(lo, hi)
-    base_limit = DEFAULT_SIEVE.base_prime_limit
+    base_limit = _listing_base_limit(hi)
     if _far(hi, base_limit):
         return sum(1 for _ in _primes(lo, hi, base_limit, SEGMENT_SIZE))
     return int(lo <= 2 <= hi) + sum(
@@ -435,7 +457,7 @@ def sieve_windows(
 def _first_hit_base_limit(lo: int) -> int:
     """Depth of the base primes a first-hit search from lo strikes with."""
     depth = lo.bit_length() ** 3 >> 13
-    return min(max(depth, _FIRST_HIT_BASE_FLOOR), DEFAULT_SIEVE.base_prime_limit)
+    return min(max(depth, _FIRST_HIT_BASE_FLOOR), _FAR_BASE_LIMIT)
 
 
 def _first_hit_size(lo: int) -> int:
@@ -457,7 +479,7 @@ def first_prime_in_range(lo: int, hi: int) -> int:
     prime (_first_hit_size(lo)), and each segment after a miss is twice the
     last, up to SEGMENT_SIZE.  It strikes with the base primes up to
     _first_hit_base_limit(lo), 2**10 below 204 bits and growing with the
-    cube of lo's bit length up to base_prime_limit, since each composite
+    cube of lo's bit length up to _FAR_BASE_LIMIT, since each composite
     survivor costs a Miller-Rabin test whose price grows with about that
     cube.
     """

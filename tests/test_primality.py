@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import isprime as sympy_isprime, nextprime, prevprime, primerange
+from sympy import isprime as sympy_isprime, nextprime, prevprime, primerange, sieve as sympy_sieve
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from primecantor import primality
@@ -205,9 +205,9 @@ def test_sieve_windows_of_no_windows_checks_and_sieves_nothing(monkeypatch, coun
 
 
 def test_sieve_windows_lists_and_counts_each_window(monkeypatch):
-    # (2, 3) and (0, 10) hold 2; the last window is past 2**40, where the
+    # (2, 3) and (0, 10) hold 2; the last window is past 2**48, where the
     # base primes stop short of sqrt(hi).
-    far = 2**41
+    far = 2**49
     spans = [(0, 10), (2, 3), (24, 28), (8, 26), (10**6, 10**6 + 1000), (far, far + 500)]
     sieved = _record_sieves(monkeypatch)
     listed = list(sieve_windows(spans))
@@ -262,12 +262,13 @@ def test_sieve_fallback_far_window():
 
 def test_primes_in_range_matches_sympy_at_base_table_edges():
     # isqrt(hi) on a power of two (2^j - 1, 2^j, 2^j + 1), where the shared
-    # table doubles, and on the base-prime limit and one past it, which
-    # puts the window in the far regime where survivors need is_prime.
+    # table doubles, up to the base-prime limit 2^24; 2^24 + 1 and 2^25 put
+    # the window in the far regime, struck to 2^20, where survivors need
+    # is_prime.
     limit = DEFAULT_SIEVE.base_prime_limit
-    assert limit == 1 << 20
-    roots = [r for j in range(1, 20) for r in (2**j - 1, 2**j, 2**j + 1)]
-    for r in roots + [limit, limit + 1]:
+    assert limit == 1 << 24
+    roots = [r for j in range(1, 25) for r in (2**j - 1, 2**j, 2**j + 1)]
+    for r in roots + [2 * limit]:
         # Both ends of the isqrt(hi) = r band: hi = r^2 and hi = (r+1)^2 - 1.
         for hi in (r * r, (r + 1) ** 2 - 1):
             lo = max(hi - 300, 0)
@@ -277,18 +278,19 @@ def test_primes_in_range_matches_sympy_at_base_table_edges():
 
 
 def test_base_prime_tables_are_shared_across_windows(monkeypatch):
-    # 200 windows whose isqrt(hi) = r runs from 2 to past the base-prime
-    # limit all strike from one table, grown in place, which holds no
+    # 230 windows whose isqrt(hi) = r runs from 2 to past the base-prime
+    # limit 2^24 all strike from one table, grown in place, which holds no
     # prime above twice the largest strike bound min(r, limit).
     _reset_base_table(monkeypatch)
     table = primality._base_table
     limit = DEFAULT_SIEVE.base_prime_limit
-    roots = [int(2 * 1.075**k) + k for k in range(200)]
+    roots = [int(2 * 1.075**k) + k for k in range(230)]
     assert roots[-1] > limit
     for r in roots:
         count_primes_in_range(r * r, r * r + min(r, 50))
     assert primality._base_table is table
-    assert table == list(primerange(primality._covered + 1))
+    sympy_sieve.extend(primality._covered)
+    assert table == list(sympy_sieve.primerange(primality._covered + 1))
     assert table[-1] <= 2 * min(roots[-1], limit)
 
 
@@ -361,29 +363,31 @@ def test_first_prime_matches_sympy_nextprime(kind):
 
 def test_first_prime_search_deepens_with_the_bit_length(monkeypatch):
     # 598, 1000 and 2499 bits, where the depth rule strikes with more base
-    # primes than the floor (at 2499 bits, all of the listing's 2^20).  These
-    # powers of ten lie 313, 531 and 123 below their next primes, which
-    # keeps sympy's nextprime to about a second.
+    # primes than the floor (at 2499 bits, up to the cap 2^20 that far
+    # listing windows strike to, not the listing limit 2^24).  These powers
+    # of ten lie 313, 531 and 123 below their next primes, which keeps
+    # sympy's nextprime to about a second.
     _reset_base_table(monkeypatch)
-    limit = DEFAULT_SIEVE.base_prime_limit
+    cap = primality._FAR_BASE_LIMIT
     for lo in (10**180, 10**301, 10**752):
         assert primality._first_hit_base_limit(lo) > _CAP, lo.bit_length()
         assert first_prime_in_range(lo, lo + 10**4) == nextprime(lo - 1), lo.bit_length()
-    assert primality._first_hit_base_limit(10**752) == limit
+    assert primality._first_hit_base_limit(10**752) == cap == 1 << 20
+    assert cap < DEFAULT_SIEVE.base_prime_limit
     # 370! + k is divisible by k for 2 <= k <= 370: a 2586-bit prime-free
     # window that the base primes strike out entirely.
     f = math.factorial(370)
     with pytest.raises(NoPrimeInIntervalError):
         first_prime_in_range(f + 2, f + 370)
-    assert limit <= primality._covered <= 2 * limit
+    assert cap <= primality._covered <= 2 * cap
 
 
 _LIMIT = DEFAULT_SIEVE.base_prime_limit  # the listing's base-prime cap
+_FAR = primality._FAR_BASE_LIMIT  # the far windows' and first hits' depth
 # isqrt(hi) on both sides of each cap, so windows strike with fewer base
 # primes than the table holds once an earlier call has grown it.
 ORDER_WINDOWS = _windows_below(
-    [r for c in (_CAP, _OLD_CAP) for r in (c**2 - 1, c**2, (c + 1) ** 2)]
-    + [_LIMIT**2 - 1, _LIMIT**2, (_LIMIT + 1) ** 2 - 1, (_LIMIT + 1) ** 2],
+    [r for c in (_CAP, _OLD_CAP, _FAR, _LIMIT) for r in (c**2 - 1, c**2, (c + 1) ** 2)],
     widths=(0, 10, 300),
 )
 
@@ -409,10 +413,15 @@ def test_sieve_results_do_not_depend_on_call_order(monkeypatch, sieve, grown):
     fn, expect = SIEVES[sieve]
     _reset_base_table(monkeypatch)
     if grown:
-        primes_in_range(10**12, 10**12 + 100)
+        primes_in_range(_LIMIT**2 - 100, _LIMIT**2)
         assert primality._covered >= _LIMIT
     for lo, hi in ORDER_WINDOWS:
-        if not grown:
+        # A fresh table for each window; but every listing or counting
+        # window with _LIMIT / 2 < isqrt(hi) <= _LIMIT grows a fresh table
+        # to exactly _LIMIT, so such windows keep the one the first of them
+        # grew instead of regrowing it (0.4 s) each time.
+        at_limit = sieve != "first" and _LIMIT // 2 < math.isqrt(hi) <= _LIMIT
+        if not grown and not (at_limit and primality._covered == _LIMIT):
             _reset_base_table(monkeypatch)
         assert fn(lo, hi) == expect(list(primerange(lo, hi + 1))), (lo, hi)
 
@@ -453,7 +462,7 @@ def test_first_prime_search_grows_its_segments(monkeypatch):
 def test_first_prime_search_memory_follows_the_prime_gap():
     # At 100 bits the next prime lies about 70 past lo, and the first
     # segment holds max(64, 4 * 100) odd flags: neither it nor its zero
-    # buffer comes near a listing segment's 256 KB of flags.
+    # buffer comes near a listing segment's 1 MB of flags.
     lo = 10**30
     small_primes(primality._first_hit_base_limit(lo))  # grow the table outside
     tracemalloc.start()
@@ -477,7 +486,7 @@ ORACLE_WINDOWS = {
     "width-1": [(n, n) for n in (2, 3, 4, 9, 25, 97, 1001, 7919, 10**9 + 7, 10**9 + 9,
                                  10**12 + 39, 10**12 + 40, _FAR_LO + 1)],
     # Windows that hold their own base primes: lo <= sqrt(hi).  The last one
-    # spans two segments, and the base primes 727 to 1021 have their squares
+    # spans two segments, and the base primes 1451 to 2039 have their squares
     # past the end of the first.
     "own-base-primes": [(1, 10**5), (2, 10**5 + 1), (3, 999), (5, 1000), (100, 10**4 + 7),
                         (3, 2 * _SPAN)],
@@ -525,16 +534,17 @@ def test_sieve_entry_points_match_sympy_across_small_segments(monkeypatch):
 
 def test_near_count_reads_the_flags(monkeypatch):
     # Below the base-prime cap every set flag is a prime: no survivor is
-    # tested, by a count or a listing.  The last window has 10**6 <
+    # tested, by a count or a listing.  The fourth window has 10**6 <
     # isqrt(hi) <= 2**20, where a table grown for 10**6 already holds every
-    # base prime.
+    # base prime; the last has 2**20 < isqrt(hi) <= 2**24, past the depth
+    # of far windows and first hits, just below the cap.
     def refuse(n):
         raise AssertionError(f"is_prime({n}) called in the near regime")
 
     monkeypatch.setattr(primality, "is_prime", refuse)
     lo_band = 10**12 + 2 * 10**6
     for lo, hi in [(0, 10**5), (10**9, 10**9 + 10**4), (10**12, 10**12 + 2000),
-                   (lo_band, lo_band + 1000)]:
+                   (lo_band, lo_band + 1000), (_LIMIT**2 - 1001, _LIMIT**2 - 1)]:
         want = list(primerange(lo, hi + 1))
         assert primes_in_range(lo, hi) == want, (lo, hi)
         assert count_primes_in_range(lo, hi) == len(want), (lo, hi)
@@ -553,21 +563,47 @@ def test_far_count_confirms_survivors(monkeypatch):
     assert set(want) <= set(tested)
 
 
+def test_far_window_strikes_only_to_the_far_depth(monkeypatch):
+    # Past the listing cap 2^24 a window strikes with the base primes up to
+    # 2^20 and confirms its survivors, so it grows a fresh table to 2^20,
+    # not to 2^24.
+    tested = []
+
+    def spy(n, real=primality.is_prime):
+        tested.append(n)
+        return real(n)
+
+    _reset_base_table(monkeypatch)
+    monkeypatch.setattr(primality, "is_prime", spy)
+    lo, hi = _FAR_LO + 10**4, _FAR_LO + 12_000
+    want = list(primerange(lo, hi + 1))
+    assert primes_in_range(lo, hi) == want
+    assert set(want) <= set(tested)
+    assert count_primes_in_range(lo, hi) == len(want)
+    assert primality._covered <= 2 * primality._FAR_BASE_LIMIT
+
+
 def test_count_memory_does_not_grow_with_the_base_table():
     # The 78k base primes below 10**6 are struck in chunks, and each
     # segment's flags are emptied before the next is struck, so a count
-    # across two segments holds one segment's flags (256 KB), its zero
-    # buffer and one chunk of strike offsets: not 78k offsets (about 4 MB),
-    # nor two segments' flags at once (about 750 KB).
-    lo = 10**12
-    small_primes(_LIMIT)  # grow the shared table outside the measurement
+    # across two full segments holds one segment's flags (1 MB), its zero
+    # buffer of a third as many bytes, the slice of it that strikes the
+    # prime 3, and one chunk of strike offsets: not 78k offsets (about
+    # 3.7 MB more), nor two segments' flags at once (1 MB more).
+    size = primality.SEGMENT_SIZE
+    lo = 10**12 + 1
+    hi = lo + 4 * size - 2  # the odd integers of two segments
+    small_primes(math.isqrt(hi))  # grow the shared table outside the measurement
     tracemalloc.start()
     try:
-        count_primes_in_range(lo, lo + 10**6)
+        count_primes_in_range(lo, hi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 640 << 10, peak
+    # Per base prime of a chunk: its slot in the chunk, the slot of its
+    # offset, and the offset, an int of at most 32 bytes; then 64 KB slack.
+    chunk = primality._STRIKE_CHUNK * (8 + 8 + 32)
+    assert peak < size + 2 * (size // 3 + 1) + chunk + (64 << 10), peak
 
 
 @given(st.integers(min_value=0, max_value=50_000))
